@@ -1,13 +1,9 @@
-// Microbenchmarks of the typed event kernel against the closure-based
-// EventQueue it replaced in `run_online`.
+// Microbenchmarks of the event core (sim/event_kernel.h).
 //
-// The queue benches push/pop N events through each core: the typed queue
-// moves 40-byte PODs through a 4-ary heap, the closure queue heap-allocates
-// a std::function per event.  The slab benches measure flight churn
-// (create/destroy with free-list reuse) against the grow-only vector the
-// closure kernel models flights with.  The end-to-end benches run the full
-// online testbed on both kernels at a small scale; events/sec counters make
-// the comparison direct.
+// The queue bench pushes/pops N 40-byte POD events through the 4-ary heap.
+// The slab bench measures flight churn (create/destroy with free-list
+// reuse) at a fixed live population.  The end-to-end bench runs the full
+// online testbed at a small scale, with an events/sec counter.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -19,7 +15,7 @@ namespace edgerep {
 namespace {
 
 /// Deterministic event times: uniform over [0, 1000) so heap order is
-/// unpredictable but identical across cores and iterations.
+/// unpredictable but identical across iterations.
 std::vector<double> event_times(std::size_t n) {
   Rng rng(0xeeccULL + n);
   std::vector<double> t(n);
@@ -32,8 +28,7 @@ void BM_TypedQueuePushPop(benchmark::State& state) {
   const std::vector<double> times = event_times(n);
   for (auto _ : state) {
     // Fresh queue per iteration: draining resets now() to ~1000, so reusing
-    // the queue would push times below now() (precondition violation) — and
-    // the closure bench below pays the same per-iteration construction.
+    // the queue would push times below now() (precondition violation).
     TypedEventQueue q;
     q.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -46,24 +41,6 @@ void BM_TypedQueuePushPop(benchmark::State& state) {
     }
     SimEvent ev;
     while (q.pop(&ev)) benchmark::DoNotOptimize(ev.time);
-  }
-  state.counters["ns/event"] = benchmark::Counter(
-      static_cast<double>(n) * static_cast<double>(state.iterations()),
-      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
-}
-
-void BM_ClosureQueuePushPop(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::vector<double> times = event_times(n);
-  for (auto _ : state) {
-    EventQueue q;
-    double sink = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double t = times[i];
-      q.schedule_at(t, [&sink, t] { sink += t; });
-    }
-    q.run();
-    benchmark::DoNotOptimize(sink);
   }
   state.counters["ns/event"] = benchmark::Counter(
       static_cast<double>(n) * static_cast<double>(state.iterations()),
@@ -91,14 +68,13 @@ void BM_FlightSlabChurn(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(slab.live_count()));
 }
 
-void BM_OnlineKernel(benchmark::State& state, OnlineKernel kernel) {
+void BM_OnlineTyped(benchmark::State& state) {
   StreamWorkloadConfig wc;
   wc.sites = 1'000;
   wc.queries = 5'000;
   const Instance inst = stream_instance(wc, 0x0b5e);
   OnlineConfig cfg;
   cfg.arrival_rate = 20.0;
-  cfg.kernel = kernel;
   std::uint64_t events = 0;
   for (auto _ : state) {
     const OnlineResult res = run_online(inst, cfg);
@@ -109,19 +85,9 @@ void BM_OnlineKernel(benchmark::State& state, OnlineKernel kernel) {
       static_cast<double>(events), benchmark::Counter::kIsRate);
 }
 
-void BM_OnlineTyped(benchmark::State& state) {
-  BM_OnlineKernel(state, OnlineKernel::kTyped);
-}
-
-void BM_OnlineClosure(benchmark::State& state) {
-  BM_OnlineKernel(state, OnlineKernel::kClosure);
-}
-
 BENCHMARK(BM_TypedQueuePushPop)->Arg(1'000)->Arg(100'000);
-BENCHMARK(BM_ClosureQueuePushPop)->Arg(1'000)->Arg(100'000);
 BENCHMARK(BM_FlightSlabChurn)->Arg(64)->Arg(4'096);
 BENCHMARK(BM_OnlineTyped)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_OnlineClosure)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace edgerep

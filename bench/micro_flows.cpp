@@ -12,7 +12,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "edgerep/edgerep.h"
@@ -58,22 +57,24 @@ void BM_FlowChurn(benchmark::State& state) {
   std::uint64_t completions = 0;
   std::uint64_t rate_changes = 0;
   for (auto _ : state) {
-    EventQueue eq;
-    FlowEngine engine(eq, std::vector<double>(links, 1.0));
+    TypedEventQueue queue;
+    FlowEngine engine(queue, std::vector<double>(links, 1.0));
     engine.set_rate_listener([&rate_changes](std::uint32_t, double,
                                              double rate, double, EdgeId) {
       if (rate > 0.0) ++rate_changes;
     });
     std::size_t next = 0;
-    std::function<void()> launch = [&] {
+    auto launch = [&] {
       if (next >= spawns) return;
       const std::size_t i = next++;
       ++completions;  // every started flow eventually completes
-      engine.start_flow(sizes[i], paths[i], [&launch] { launch(); },
-                        static_cast<std::uint32_t>(i));
+      engine.start_flow(sizes[i], paths[i], static_cast<std::uint32_t>(i));
     };
     for (std::size_t i = 0; i < flows; ++i) launch();
-    eq.run();
+    SimEvent ev;
+    while (queue.pop(&ev)) {
+      if (engine.handle_event(ev) != FlowEngine::kNoFlow) launch();
+    }
     benchmark::DoNotOptimize(engine.active_flows());
   }
   state.counters["completions/s"] = benchmark::Counter(

@@ -173,19 +173,6 @@ void BM_SimplexRandomLp(benchmark::State& state) {
 }
 BENCHMARK(BM_SimplexRandomLp)->Arg(20)->Arg(50);
 
-void BM_EventQueueChurn(benchmark::State& state) {
-  for (auto _ : state) {
-    EventQueue eq;
-    int counter = 0;
-    for (int i = 0; i < 1000; ++i) {
-      eq.schedule_at(static_cast<double>(i % 97), [&counter] { ++counter; });
-    }
-    eq.run();
-    benchmark::DoNotOptimize(counter);
-  }
-}
-BENCHMARK(BM_EventQueueChurn);
-
 void BM_ApproGPlacement(benchmark::State& state) {
   WorkloadConfig cfg;
   cfg.network_size = static_cast<std::size_t>(state.range(0));

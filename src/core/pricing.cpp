@@ -71,6 +71,7 @@ __attribute__((target("avx2"))) void avx2_scan(
   const __m256d veps = _mm256_set1_pd(kCapacityEps);
   const __m256d vzero = _mm256_setzero_pd();
   const __m256d vinf = _mm256_set1_pd(kInf);
+  const __m256d vall = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
   const __m256d mbudget =
       _mm256_cmp_pd(_mm256_set1_pd(budget), vzero, _CMP_NEQ_OQ);
 
@@ -83,9 +84,11 @@ __attribute__((target("avx2"))) void avx2_scan(
   for (; i + 4 <= n; i += 4) {
     const __m128i vsite =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(sites + i));
-    const __m256d vth = _mm256_i32gather_pd(theta, vsite, 8);
-    const __m256d vav = _mm256_i32gather_pd(avail, vsite, 8);
-    const __m256d vld = _mm256_i32gather_pd(load, vsite, 8);
+    // Masked gathers with an all-ones mask load every lane exactly like
+    // the unmasked form, but start from a defined source register.
+    const __m256d vth = _mm256_mask_i32gather_pd(vzero, theta, vsite, vall, 8);
+    const __m256d vav = _mm256_mask_i32gather_pd(vzero, avail, vsite, vall, 8);
+    const __m256d vld = _mm256_mask_i32gather_pd(vzero, load, vsite, vall, 8);
     const __m256d vhas = _mm256_set_pd(
         static_cast<double>(replica[sites[i + 3]]),
         static_cast<double>(replica[sites[i + 2]]),

@@ -54,7 +54,6 @@
 #include "obs/trace.h"                  // IWYU pragma: export
 #include "obs/watchdog.h"               // IWYU pragma: export
 #include "part/partitioner.h"           // IWYU pragma: export
-#include "sim/event.h"                  // IWYU pragma: export
 #include "sim/event_kernel.h"           // IWYU pragma: export
 #include "sim/faults.h"                 // IWYU pragma: export
 #include "sim/flows.h"                  // IWYU pragma: export

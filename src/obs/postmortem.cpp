@@ -49,7 +49,7 @@ struct DemandState {
   double start = 0.0;  ///< latest flight's launch time
   double proc = 0.0;   ///< latest flight's processing share
   /// Latest flight's start + total delay; a flow retirement record
-  /// max-accumulates the contended actual on top, mirroring the kernels.
+  /// max-accumulates the contended actual on top, as run_online does.
   double completion = 0.0;
 };
 
@@ -65,7 +65,7 @@ struct QueryState {
   double arrival = 0.0;
   double deadline = 0.0;
   /// Running max over every flight record's completion — the same
-  /// max-accumulate the kernels apply (admission response, then each
+  /// max-accumulate run_online applies (admission response, then each
   /// relocation), so it is bit-identical to OnlineOutcome::completion_time.
   double completion = 0.0;
   // Critical flight: the record that set the running max.
@@ -114,15 +114,25 @@ PostmortemReport analyze_journal(const Journal& journal) {
   std::uint32_t max_site = 0;
   bool any_site = false;
 
-  auto query_at = [&queries](std::uint32_t id) -> QueryState& {
-    if (id >= queries.size()) queries.resize(id + 1);
-    return queries[id];
+  // Only an arrival grows the query table, and only for an id below the
+  // records ever appended (the header's count, or the records present when
+  // the journal was built in memory without one).  Any other record naming
+  // an id that never arrived is an orphan (a ring journal's dropped prefix,
+  // a repair journal, or hostile bytes): it counts toward the report's
+  // totals but touches no per-query state.
+  const std::uint64_t id_bound =
+      std::max<std::uint64_t>(journal.header.appended, journal.records.size());
+  auto arrived = [&queries](std::uint32_t id) -> QueryState* {
+    return id < queries.size() && queries[id].arrived ? &queries[id]
+                                                      : nullptr;
   };
 
   for (const JournalRecord& rec : journal.records) {
     switch (static_cast<RecordKind>(rec.kind)) {
       case RecordKind::kArrival: {
-        QueryState& qs = query_at(rec.a);
+        if (rec.a >= id_bound) break;  // hostile id
+        if (rec.a >= queries.size()) queries.resize(rec.a + 1);
+        QueryState& qs = queries[rec.a];
         qs.arrived = true;
         qs.arrival = rec.time;
         qs.deadline = rec.v0;
@@ -134,8 +144,9 @@ PostmortemReport analyze_journal(const Journal& journal) {
       }
       case RecordKind::kTransferStart:
       case RecordKind::kRelocate: {
-        QueryState& qs = query_at(rec.a);
-        if (!qs.arrived || rec.arg >= qs.n_demands) break;  // ring orphan
+        QueryState* const q = arrived(rec.a);
+        if (q == nullptr || rec.arg >= q->n_demands) break;  // orphan
+        QueryState& qs = *q;
         if (static_cast<RecordKind>(rec.kind) == RecordKind::kRelocate) {
           ++qs.relocations;
           ++report.relocations;
@@ -172,9 +183,10 @@ PostmortemReport analyze_journal(const Journal& journal) {
       case RecordKind::kComputeDone:
         break;
       case RecordKind::kReject: {
-        QueryState& qs = query_at(rec.a);
-        qs.rejected = true;
-        qs.reject_reason = rec.arg;
+        if (QueryState* const qs = arrived(rec.a)) {
+          qs->rejected = true;
+          qs->reject_reason = rec.arg;
+        }
         if (rec.arg < report.rejects_by_reason.size()) {
           ++report.rejects_by_reason[rec.arg];
         }
@@ -182,17 +194,14 @@ PostmortemReport analyze_journal(const Journal& journal) {
         break;
       }
       case RecordKind::kShed: {
-        QueryState& qs = query_at(rec.a);
-        ++qs.sheds;
+        if (QueryState* const qs = arrived(rec.a)) ++qs->sheds;
         ++report.sheds;
         break;
       }
       case RecordKind::kFail: {
-        QueryState& qs = query_at(rec.a);
-        if (!qs.failed) {
-          qs.failed = true;
-          ++report.failed_by_fault;
-        }
+        QueryState* const qs = arrived(rec.a);
+        if (qs == nullptr || !qs->failed) ++report.failed_by_fault;
+        if (qs != nullptr) qs->failed = true;
         break;
       }
       case RecordKind::kFaultApply:
@@ -227,7 +236,7 @@ PostmortemReport analyze_journal(const Journal& journal) {
         if (!report.epochs.empty()) ++report.epochs.back().rejects;
         break;
       case RecordKind::kFlowRateChange: {
-        // rec.a is the kernels' flat (query, demand) layout slot.  Arrival
+        // rec.a is run_online's flat (query, demand) layout slot.  Arrival
         // records replay queries in id order, so `demands` grows with the
         // exact same prefix sums and the slot indexes it directly — unless
         // a ring journal dropped arrivals, in which case the guard below
@@ -242,11 +251,11 @@ PostmortemReport analyze_journal(const Journal& journal) {
         }
         // Retirement: the flow drained at rec.time — the authoritative
         // actual completion.  Max-accumulate onto the priced completion,
-        // mirroring the kernels' deliver_transfer.
+        // as run_online's deliver_transfer does.
         ++report.flow_retirements;
         if (rec.time > ds.completion + 1e-9) ++report.flow_stretched;
         if (rec.time > ds.completion) ds.completion = rec.time;
-        QueryState& qs = query_at(ds.owner);
+        QueryState& qs = queries[ds.owner];
         if (ds.completion > qs.completion) {
           qs.completion = ds.completion;
           qs.crit_demand = ds.idx;

@@ -1,5 +1,7 @@
 #include "obs/recorder.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -150,12 +152,30 @@ bool read_journal(std::istream& in, Journal* out, std::string* error) {
     return fail("journal record size mismatch");
   }
   out->header = header;
-  out->records.resize(header.retained);
-  if (header.retained > 0) {
-    in.read(reinterpret_cast<char*>(out->records.data()),
-            static_cast<std::streamsize>(header.retained *
-                                         sizeof(JournalRecord)));
+  out->records.clear();
+  // A hostile header must not size a multi-GB vector: check the claimed
+  // count against the bytes left in a seekable stream, and read any other
+  // stream in bounded chunks, so memory tracks the input either way.
+  std::uint64_t chunk = std::uint64_t{1} << 16;  // records per read
+  const std::streampos here = in.tellg();
+  if (here != std::streampos(-1)) {
+    in.seekg(0, std::ios::end);
+    const std::streampos end = in.tellg();
+    in.seekg(here);
+    if (!in || end < here ||
+        header.retained >
+            static_cast<std::uint64_t>(end - here) / sizeof(JournalRecord)) {
+      return fail("journal truncated mid-records");
+    }
+    chunk = header.retained;
+  }
+  for (std::uint64_t done = 0; done < header.retained;) {
+    const std::uint64_t n = std::min(chunk, header.retained - done);
+    out->records.resize(done + n);
+    in.read(reinterpret_cast<char*>(out->records.data() + done),
+            static_cast<std::streamsize>(n * sizeof(JournalRecord)));
     if (!in) return fail("journal truncated mid-records");
+    done += n;
   }
   return true;
 }

@@ -17,10 +17,10 @@
 // read one relaxed atomic and do nothing else — plans, duals, and
 // simulation outcomes are bit-identical to an uninstrumented build.  With
 // the recorder enabled, a fixed online config produces a *byte-identical*
-// journal across repeated runs and across the closure / typed kernels:
-// records carry only simulation-clock times and stable ids, never
-// wall-clock or addresses, and every append site is keyed to the pinned
-// event order both kernels share.
+// journal across repeated runs (tests/golden/*.journal pin three): records
+// carry only simulation-clock times and stable ids, never wall-clock or
+// addresses, and every append site is keyed to the event core's pinned
+// order.
 //
 // The append path is zero-allocation in ring mode (the buffer is sized at
 // configure time) and amortized-allocation in full mode (geometric vector
@@ -39,8 +39,8 @@
 namespace edgerep::obs {
 
 /// What happened at this causal step.  Online kinds (arrival .. fail) are
-/// appended by both online kernels at mirrored points; stream kinds
-/// (epoch_begin .. stream_reject) by run_stream's serial phase 2.
+/// appended by run_online; stream kinds (epoch_begin .. stream_reject) by
+/// run_stream's serial phase 2.
 enum class RecordKind : std::uint8_t {
   // Online simulator.
   kArrival = 0,        ///< query arrived: a=query, b=n_demands, v0=deadline

@@ -3,11 +3,10 @@
 // continuous rebalancing (ROADMAP item 3).
 //
 // The watchdog is a streaming anomaly detector driven purely by the
-// *simulation clock*: both online kernels, the flow backend, and the stream
-// plane's serial phase feed it at the exact sites mirrored by the flight
-// recorder, so a fixed (instance, config, faults) input produces a
-// bit-identical alert stream across kernels, thread counts, and repeated
-// runs.  It maintains
+// *simulation clock*: run_online, the flow backend, and the stream plane's
+// serial phase feed it at the flight recorder's append sites, so a fixed
+// (instance, config, faults) input produces a bit-identical alert stream
+// across thread counts and repeated runs.  It maintains
 //
 //   * per-dataset popularity via a space-saving top-k heavy-hitter sketch
 //     (hotspot / flash-crowd detection with open/resolve hysteresis),
@@ -132,9 +131,8 @@ struct WatchdogConfig {
 };
 
 /// Run-level rollup, copied into OnlineResult::watchdog so callers get the
-/// alert counts without touching the singleton (deterministic and
-/// bit-identical across kernels; excluded from online_result_hash like the
-/// other diagnostic blocks).
+/// alert counts without touching the singleton (deterministic; excluded
+/// from online_result_hash like the other diagnostic blocks).
 struct WatchdogStats {
   std::size_t opened = 0;
   std::size_t resolved = 0;
@@ -310,7 +308,7 @@ class Watchdog {
 
   /// Reset every detector and the alert list for a new run, and sample the
   /// recorder facet once (kAlert records are journaled only when the
-  /// recorder was enabled here, mirroring the kernels' facet sampling).
+  /// recorder was enabled here, like run_online's facet sampling).
   void begin_run();
 
   // Feeds — sim-clock times and stable ids only; single-writer.

@@ -1,38 +1,34 @@
-// Typed, allocation-free discrete-event kernel — the scale path of the
-// online simulator (sim/online.h).
+// The event core: a typed, allocation-free discrete-event kernel shared by
+// the online simulator (sim/online.h) and the testbed simulator
+// (sim/simulator.h).
 //
-// The closure engine (sim/event.h) heap-allocates one std::function per
-// event, which caps run_online far below the multi-million-query horizons
-// the streaming plane already generates.  This kernel replaces closures
-// with a tagged-union POD event (`SimEvent`) in a 4-ary array heap ordered
+// Events are a tagged-union POD (`SimEvent`) in a 4-ary array heap ordered
 // by strict `(time, seq)`: pushing and popping move 40 trivially-copyable
 // bytes, and the heap storage is the only allocation (amortized by
 // reserve).  Dispatch is a switch on `SimEvent::kind` in the owning run
 // loop — subsystems never capture state, they read it from the payload.
 //
-// Ordering invariants (the determinism contract of sim/online.h, restated
-// as properties of the queue):
+// Ordering contract (pinned bit for bit by tests/golden/):
 //
 //  * Events pop in strictly increasing `(time, seq)` order; `seq` never
-//    repeats, so simultaneous events have a total FIFO order.
+//    repeats, so simultaneous events have a total order.
 //  * `seq` is banded: the high byte encodes the event's scheduling class
-//    (faults < arrivals < dynamic completions < status ticks) and the low
-//    56 bits a per-band monotone counter.  This reproduces the closure
-//    kernel's global insertion order — where every fault is scheduled
-//    before every arrival, and dynamic events are scheduled mid-run — even
-//    though this kernel streams arrivals lazily (one pending arrival in
-//    the heap instead of the whole horizon).
+//    and the low 56 bits a per-band monotone counter.  At one instant,
+//    faults run before arrivals, arrivals before dynamic events
+//    (completions, flow wakes), and dynamic events before status ticks;
+//    within a band, events run FIFO.  The bands let a run stream arrivals
+//    and faults lazily (one pending of each in the heap) without changing
+//    that order.
 //  * `post()` enqueues an *immediate*: a FIFO ring drained before the next
-//    heap pop.  Immediates model work that the closure kernel ran
-//    synchronously inside a handler (e.g. relocating the flights displaced
-//    by a crash), keeping it a typed, inspectable event.
+//    heap pop.  Immediates model work a handler must finish before time
+//    advances (e.g. relocating the flights displaced by a crash), keeping
+//    it a typed, inspectable event.
 //
 // `FlightSlab` is the companion registry for in-flight work: slot reuse
 // through a free list, generation-stamped handles so a completion event
 // scheduled for a killed (or relocated) flight self-discards in O(1), and
 // an intrusive doubly-linked live list that iterates survivors in creation
-// order — the order the closure kernel got for free from its grow-only
-// flights vector.
+// order, independent of slot reuse.
 #pragma once
 
 #include <cassert>
@@ -44,7 +40,8 @@
 
 namespace edgerep {
 
-/// Event taxonomy of the online simulator.
+/// Event taxonomy.  Payloads below are run_online's; simulate() documents
+/// its own in sim/simulator.cpp.
 enum class EvKind : std::uint8_t {
   kArrival = 0,       ///< a = query id
   kTransferDone = 1,  ///< a = flow slot, b = flow generation (FlowEngine)
@@ -67,10 +64,8 @@ struct SimEvent {
 
 /// Scheduling-class bands of the 64-bit seq (high byte).  Within one time
 /// instant, lower bands run first; within one band, lower counters run
-/// first.  The order mirrors the closure kernel's scheduling sequence:
-/// fault events are all scheduled before arrivals, arrivals before any
-/// dynamic event, and status ticks (which read state but never write it)
-/// drain last.
+/// first: faults, then arrivals, then dynamic events, and status ticks
+/// (which read state but never write it) drain last.
 namespace evseq {
 inline constexpr std::uint64_t kFaultBand = 0;
 inline constexpr std::uint64_t kArrivalBand = 1;
@@ -81,9 +76,6 @@ inline constexpr unsigned kBandShift = 56;
 [[nodiscard]] constexpr std::uint64_t make(std::uint64_t band,
                                            std::uint64_t counter) noexcept {
   return (band << kBandShift) | counter;
-}
-[[nodiscard]] constexpr std::uint64_t band_of(std::uint64_t seq) noexcept {
-  return seq >> kBandShift;
 }
 }  // namespace evseq
 
@@ -108,8 +100,8 @@ class TypedEventQueue {
   void push(const SimEvent& ev);
 
   /// Schedule a dynamic event: seq is drawn from the queue's monotone
-  /// dynamic-band counter, reproducing schedule-call order among all
-  /// mid-run events (completions, flow wakes).
+  /// dynamic-band counter, so simultaneous dynamic events run in
+  /// schedule-call order.
   void push_dynamic(EvKind kind, double time, std::uint32_t a,
                     std::uint32_t b, double c = 0.0) {
     push(SimEvent{time, evseq::make(evseq::kDynamicBand, dyn_counter_++), a,
@@ -183,8 +175,8 @@ class TypedEventQueue {
 inline constexpr std::uint32_t kNilSlot = static_cast<std::uint32_t>(-1);
 
 /// Generation-stamped reference to a flight slot.  A handle whose
-/// generation no longer matches the slot dereferences to null — the O(1)
-/// stale-discard that replaces the closure kernel's `alive` flag scan.
+/// generation no longer matches the slot dereferences to null — an O(1)
+/// stale-discard.
 struct FlightHandle {
   std::uint32_t slot = kNilSlot;
   std::uint32_t gen = 0;

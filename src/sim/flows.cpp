@@ -91,20 +91,9 @@ void validate_capacities(const std::vector<double>& caps) {
 
 }  // namespace
 
-FlowEngine::FlowEngine(EventQueue& eq, std::vector<double> link_capacity)
-    : eq_(&eq), link_capacity_(std::move(link_capacity)) {
-  validate_capacities(link_capacity_);
-  const std::size_t n = link_capacity_.size();
-  link_users_.resize(n);
-  link_mark_.resize(n, 0);
-  sat_mark_.resize(n, 0);
-  users_.resize(n, 0);
-  residual_.resize(n, 0.0);
-}
-
 FlowEngine::FlowEngine(TypedEventQueue& queue,
                        std::vector<double> link_capacity)
-    : tq_(&queue), link_capacity_(std::move(link_capacity)) {
+    : queue_(&queue), link_capacity_(std::move(link_capacity)) {
   validate_capacities(link_capacity_);
   const std::size_t n = link_capacity_.size();
   link_users_.resize(n);
@@ -112,10 +101,6 @@ FlowEngine::FlowEngine(TypedEventQueue& queue,
   sat_mark_.resize(n, 0);
   users_.resize(n, 0);
   residual_.resize(n, 0.0);
-}
-
-double FlowEngine::now() const noexcept {
-  return eq_ != nullptr ? eq_->now() : tq_->now();
 }
 
 void FlowEngine::validate_path(const std::vector<EdgeId>& path) const {
@@ -155,16 +140,7 @@ void FlowEngine::schedule_completion(std::uint32_t slot) {
   Flow& f = flows_[slot];
   if (f.rate <= 0.0) return;  // starved (cannot happen with >0 capacities)
   const double eta = std::max(f.remaining / f.rate, 0.0);
-  if (tq_ != nullptr) {
-    tq_->push_dynamic(EvKind::kTransferDone, tq_->now() + eta, slot, f.gen);
-  } else {
-    const std::uint32_t gen = f.gen;
-    eq_->schedule_in(eta, [this, slot, gen] {
-      const Flow& fl = flows_[slot];
-      if (fl.state != State::kActive || fl.gen != gen) return;  // superseded
-      recompute(slot, /*force_complete=*/true);
-    });
-  }
+  queue_->push_dynamic(EvKind::kTransferDone, now() + eta, slot, f.gen);
 }
 
 void FlowEngine::complete_flow(std::uint32_t slot, bool via_event) {
@@ -175,14 +151,7 @@ void FlowEngine::complete_flow(std::uint32_t slot, bool via_event) {
   ++f.gen;  // any armed prediction for the old rate goes stale
   // Retirement record: rate 0 at the actual completion instant.
   if (rate_listener_) rate_listener_(f.tag, now(), 0.0, 0.0, kInvalidEdge);
-  if (eq_ != nullptr) {
-    // Closure mode: deliver via the queue so the callback runs outside the
-    // engine frame, and recycle the slot right away.
-    f.state = State::kFree;
-    free_.push_back(slot);
-    if (f.done) eq_->schedule_in(0.0, std::move(f.done));
-    f.done = nullptr;
-  } else if (via_event) {
+  if (via_event) {
     // The flow's own current event is being handled — already delivered.
     f.state = State::kFree;
     free_.push_back(slot);
@@ -190,7 +159,7 @@ void FlowEngine::complete_flow(std::uint32_t slot, bool via_event) {
     // Park until the authoritative kTransferDone below is consumed by
     // handle_event (the slot must not be reused before delivery).
     f.state = State::kCompleting;
-    tq_->push_dynamic(EvKind::kTransferDone, tq_->now(), slot, f.gen);
+    queue_->push_dynamic(EvKind::kTransferDone, now(), slot, f.gen);
   }
 }
 
@@ -332,7 +301,6 @@ void FlowEngine::recompute(std::uint32_t seed, bool force_complete,
       fl.remaining = 0.0;
       ++fl.gen;  // any armed prediction goes stale
       fl.state = State::kFree;
-      fl.done = nullptr;
       free_.push_back(f);
     } else {
       complete_flow(f, force_complete && f == seed && !silent_seed);
@@ -362,41 +330,7 @@ void FlowEngine::recompute(std::uint32_t seed, bool force_complete,
 }
 
 std::uint32_t FlowEngine::start_flow(double size_gb, std::vector<EdgeId> path,
-                                     std::function<void()> on_complete,
                                      std::uint32_t tag, double rate_cap) {
-  if (eq_ == nullptr) {
-    throw std::logic_error("FlowEngine: closure start on a typed-mode engine");
-  }
-  if (rate_cap <= 0.0) {
-    throw std::invalid_argument("FlowEngine: rate cap must be > 0");
-  }
-  validate_path(path);
-  if (path.empty() || size_gb <= 1e-12) {
-    // Trivial flows complete at now without touching the registry.
-    if (on_complete) eq_->schedule_in(0.0, std::move(on_complete));
-    return kNoFlow;
-  }
-  const std::uint32_t slot = alloc_slot();
-  Flow& f = flows_[slot];
-  f.remaining = size_gb;
-  f.rate = 0.0;
-  f.cap = rate_cap;
-  f.last_advance = now();
-  f.path = std::move(path);
-  f.done = std::move(on_complete);
-  f.tag = tag;
-  f.state = State::kActive;
-  ++active_;
-  for (const EdgeId e : f.path) link_users_[e].push_back(slot);
-  recompute(slot, /*force_complete=*/false);
-  return slot;
-}
-
-std::uint32_t FlowEngine::start_flow(double size_gb, std::vector<EdgeId> path,
-                                     std::uint32_t tag, double rate_cap) {
-  if (tq_ == nullptr) {
-    throw std::logic_error("FlowEngine: typed start on a closure-mode engine");
-  }
   if (rate_cap <= 0.0) {
     throw std::invalid_argument("FlowEngine: rate cap must be > 0");
   }
@@ -404,7 +338,6 @@ std::uint32_t FlowEngine::start_flow(double size_gb, std::vector<EdgeId> path,
   const std::uint32_t slot = alloc_slot();
   Flow& f = flows_[slot];
   f.tag = tag;
-  f.done = nullptr;
   f.cap = rate_cap;
   if (path.empty() || size_gb <= 1e-12) {
     f.remaining = 0.0;
@@ -412,7 +345,7 @@ std::uint32_t FlowEngine::start_flow(double size_gb, std::vector<EdgeId> path,
     f.path.clear();
     f.state = State::kCompleting;
     ++f.gen;
-    tq_->push_dynamic(EvKind::kTransferDone, tq_->now(), slot, f.gen);
+    queue_->push_dynamic(EvKind::kTransferDone, now(), slot, f.gen);
     return slot;
   }
   f.remaining = size_gb;
@@ -435,7 +368,6 @@ void FlowEngine::cancel(std::uint32_t slot) {
     // resurrect the event).
     ++f.gen;
     f.state = State::kFree;
-    f.done = nullptr;
     free_.push_back(slot);
     return;
   }
@@ -458,7 +390,7 @@ void FlowEngine::set_link_capacity(EdgeId e, double capacity) {
 }
 
 std::uint32_t FlowEngine::handle_event(const SimEvent& ev) {
-  if (tq_ == nullptr || ev.kind != EvKind::kTransferDone) return kNoFlow;
+  if (ev.kind != EvKind::kTransferDone) return kNoFlow;
   const std::uint32_t slot = ev.a;
   if (slot >= flows_.size()) return kNoFlow;
   Flow& f = flows_[slot];

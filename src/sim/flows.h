@@ -18,14 +18,10 @@
 //
 // Flows live in a slot registry with free-list reuse; paths are moved in,
 // never copied.  Completion events carry the flow's generation, which bumps
-// on every rate change, so a stale prediction self-discards.  The engine
-// runs on either event core:
-//
-//  * closure mode (EventQueue): completions call the std::function the
-//    caller provided — the testbed simulator's mode (sim/simulator.h).
-//  * typed mode (TypedEventQueue): completions surface as
-//    EvKind::kTransferDone events; the owning run loop feeds them to
-//    handle_event(), which returns the caller's tag when the flow is done.
+// on every rate change, so a stale prediction self-discards.  Completions
+// surface as EvKind::kTransferDone events on the owning TypedEventQueue;
+// the run loop feeds them to handle_event(), which returns the caller's
+// tag when the flow is done.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +29,6 @@
 #include <vector>
 
 #include "net/graph.h"
-#include "sim/event.h"
 #include "sim/event_kernel.h"
 
 namespace edgerep {
@@ -67,17 +62,14 @@ class FlowEngine {
   /// the flow, or kInvalidEdge when its own rate cap did) and once at
   /// retirement (rate == 0, remaining == 0, `time` = the actual completion
   /// instant).  The call sequence is deterministic (ascending slot order
-  /// inside each fill) and mirrored across the closure/typed cores, so
-  /// journal appends driven from here stay byte-identical across kernels.
+  /// inside each fill), so journal appends driven from here are
+  /// byte-reproducible.
   using RateListener = std::function<void(
       std::uint32_t tag, double time, double rate, double remaining,
       EdgeId bottleneck)>;
 
-  /// Closure mode: completions fire the caller's std::function on `eq`.
+  /// Completions surface as kTransferDone events on `queue`.
   /// `link_capacity[e]` is the bandwidth of edge e in GB/s.
-  FlowEngine(EventQueue& eq, std::vector<double> link_capacity);
-
-  /// Typed mode: completions surface as kTransferDone events on `queue`.
   FlowEngine(TypedEventQueue& queue, std::vector<double> link_capacity);
 
   void set_recompute_mode(Recompute mode) noexcept { mode_ = mode; }
@@ -87,20 +79,12 @@ class FlowEngine {
     rate_listener_ = std::move(listener);
   }
 
-  /// Begin transferring `size_gb` along `path` (edge ids); `on_complete`
-  /// fires at the simulated completion instant.  A flow of size 0 or with
-  /// an empty path completes immediately (scheduled at now; returns kNoFlow
-  /// — no slot is allocated).  `rate_cap` bounds the flow's rate;
-  /// `tag` labels it for the rate listener.  Closure mode only.  Returns
-  /// the flow's slot (usable with cancel()).
-  std::uint32_t start_flow(double size_gb, std::vector<EdgeId> path,
-                           std::function<void()> on_complete,
-                           std::uint32_t tag = 0,
-                           double rate_cap = kUnconstrainedRate);
-
-  /// Typed-mode start: the completion arrives on the queue as
-  /// kTransferDone{a = slot, b = generation}; `tag` is returned by
-  /// handle_event when that event is current.  Returns the flow's slot.
+  /// Begin transferring `size_gb` along `path` (edge ids).  The
+  /// completion arrives on the queue as kTransferDone{a = slot, b =
+  /// generation}; handle_event returns `tag` when that event is current.
+  /// A flow of size 0 or with an empty path completes at now.  `rate_cap`
+  /// bounds the flow's rate.  Returns the flow's slot (usable with
+  /// cancel()).
   std::uint32_t start_flow(double size_gb, std::vector<EdgeId> path,
                            std::uint32_t tag,
                            double rate_cap = kUnconstrainedRate);
@@ -108,21 +92,20 @@ class FlowEngine {
   /// Feed a popped kTransferDone event to the engine.  Returns the starting
   /// call's `tag` when the event is a current completion, kNoFlow when it
   /// is stale (the flow's rate changed after it was scheduled) or not a
-  /// kTransferDone at all.  Typed mode only.
+  /// kTransferDone at all.
   [[nodiscard]] std::uint32_t handle_event(const SimEvent& ev);
 
   /// Abort `slot` without delivering a completion: the flow leaves its
   /// links, any armed event goes stale, freed bandwidth is re-filled into
-  /// the surviving component(s), and no closure/typed completion ever
-  /// fires (the rate listener is not called either — the caller records
-  /// the kill itself).  No-op when the slot is already free or parked
-  /// completing and you raced its own delivery (the generation guard keeps
-  /// the late event stale).  Both modes.
+  /// the surviving component(s), and no completion is ever delivered (the
+  /// rate listener is not called either — the caller records the kill
+  /// itself).  A drained flow still parked for delivery is dropped too:
+  /// the generation guard keeps its event stale.  No-op on a free slot.
   void cancel(std::uint32_t slot);
 
   /// Change one link's capacity mid-run (must stay > 0): flows crossing it
   /// are advanced to now and their component re-filled.  Links without
-  /// active flows just take the new value.  Both modes.
+  /// active flows just take the new value.
   void set_link_capacity(EdgeId e, double capacity);
 
   [[nodiscard]] double link_capacity(EdgeId e) const {
@@ -140,13 +123,12 @@ class FlowEngine {
     double cap = kUnconstrainedRate;  ///< per-flow rate ceiling
     double last_advance = 0.0;
     std::vector<EdgeId> path;        ///< moved in; capacity reused on reuse
-    std::function<void()> done;      ///< closure mode
-    std::uint32_t tag = 0;           ///< typed mode / listener label
+    std::uint32_t tag = 0;           ///< handle_event result; listener label
     std::uint32_t gen = 0;           ///< bumps on rate change and retire
     State state = State::kFree;
   };
 
-  [[nodiscard]] double now() const noexcept;
+  [[nodiscard]] double now() const noexcept { return queue_->now(); }
   void validate_path(const std::vector<EdgeId>& path) const;
   std::uint32_t alloc_slot();
   void unlink(std::uint32_t slot);
@@ -154,8 +136,7 @@ class FlowEngine {
   /// Predicted-completion event for `slot` at its current (rate, gen).
   void schedule_completion(std::uint32_t slot);
 
-  /// Deliver a completed flow: closure mode schedules `done` at now and
-  /// frees the slot; typed mode parks the slot in kCompleting and emits the
+  /// Deliver a completed flow: park the slot in kCompleting and emit the
   /// authoritative kTransferDone (freed when handle_event consumes it).
   /// `via_event` marks the flow whose own current event is being handled —
   /// it is already delivered, so its slot frees directly.
@@ -178,8 +159,7 @@ class FlowEngine {
   void recompute(std::uint32_t seed, bool force_complete,
                  bool silent_seed = false);
 
-  EventQueue* eq_ = nullptr;          // closure mode
-  TypedEventQueue* tq_ = nullptr;     // typed mode
+  TypedEventQueue* queue_;
   std::vector<double> link_capacity_;
   Recompute mode_ = Recompute::kIncremental;
   RateListener rate_listener_;

@@ -4,9 +4,12 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <ostream>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "cloud/delay.h"
 #include "net/routes.h"
@@ -14,9 +17,8 @@
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/trace.h"
-#include "sim/event.h"
+#include "sim/event_kernel.h"
 #include "sim/flows.h"
-#include "sim/online_internal.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -91,8 +93,115 @@ void OnlineStatusBoard::write_json(std::ostream& os) const {
   os.precision(old);
 }
 
-namespace online_detail {
 namespace {
+
+struct SiteLoad {
+  double available = 0.0;  ///< fault-free A(v_l); faults scale it on query
+  double in_use = 0.0;
+};
+
+/// Where (and when, absolute sim seconds) one admitted demand finally
+/// completed — relocation overwrites it.  Feeds the deadline-SLO rollup.
+struct DemandEnd {
+  SiteId site = kInvalidSite;
+  double completion = 0.0;
+};
+
+/// One async span on the sim clock, buffered locally and emitted to the
+/// Tracer after the run (so tracing never interleaves with event dispatch).
+struct SpanRec {
+  const char* name = "";
+  std::uint64_t id = 0;
+  double t0 = 0.0;
+  double t1 = 0.0;
+};
+
+constexpr std::size_t kNoSpan = static_cast<std::size_t>(-1);
+
+/// Stable async-span ids: a query's span and its per-demand
+/// transfer/compute spans share the qid prefix so they group in the viewer.
+std::uint64_t query_span_id(QueryId m) {
+  return static_cast<std::uint64_t>(m) << 20;
+}
+std::uint64_t demand_span_id(QueryId m, std::uint32_t d, unsigned kind) {
+  return (static_cast<std::uint64_t>(m) << 20) |
+         (static_cast<std::uint64_t>(d + 1) << 2) | kind;
+}
+
+/// Flat per-(query, demand) addressing: slot of (m, d) is
+/// `offsets[m] + d` — one contiguous table, sized once.
+struct DemandLayout {
+  std::vector<std::size_t> offsets;  ///< size |Q| + 1 (prefix sums)
+
+  explicit DemandLayout(const Instance& inst) {
+    offsets.resize(inst.queries().size() + 1, 0);
+    for (const Query& q : inst.queries()) {
+      offsets[q.id + 1] = q.demands.size();
+    }
+    for (std::size_t m = 1; m < offsets.size(); ++m) {
+      offsets[m] += offsets[m - 1];
+    }
+  }
+  [[nodiscard]] std::size_t at(QueryId m, std::uint32_t d) const {
+    return offsets[m] + d;
+  }
+  [[nodiscard]] std::size_t total() const { return offsets.back(); }
+};
+
+/// The arrival process, streamed one arrival at a time: the run keeps one
+/// pending arrival in the heap and pulls the next when it pops, so event
+/// storage stays O(inflight) while the draws follow instance order.
+class OnlineArrivalStream {
+ public:
+  OnlineArrivalStream(std::size_t queries, OnlineConfig::Arrivals mode,
+                      double rate, std::uint64_t seed,
+                      double wave_amplitude = 0.0, double wave_period = 0.0)
+      : rng_(seed),
+        remaining_(queries),
+        rate_(rate),
+        wave_amplitude_(wave_amplitude),
+        wave_period_(wave_period),
+        mode_(mode) {}
+
+  /// Next arrival in instance order; false when the horizon is exhausted.
+  bool next(double* time, QueryId* query) {
+    if (remaining_ == 0) return false;
+    double gap = mode_ == OnlineConfig::Arrivals::kPoisson
+                     ? rng_.exponential(rate_)
+                     : 1.0 / rate_;
+    // Diurnal wave: divide the base gap by the instantaneous rate
+    // modulation at the current phase.  The Rng draw sequence is identical
+    // either way, and the branch is skipped entirely when the wave is off,
+    // so amplitude == 0 reproduces historical arrival times bit for bit.
+    if (wave_amplitude_ > 0.0 && wave_period_ > 0.0) {
+      constexpr double kTwoPi = 6.283185307179586476925286766559;
+      double mod =
+          1.0 + wave_amplitude_ * std::sin(kTwoPi * clock_ / wave_period_);
+      if (mod < 0.05) mod = 0.05;
+      gap /= mod;
+    }
+    clock_ += gap;
+    *time = clock_;
+    *query = next_id_++;
+    --remaining_;
+    return true;
+  }
+
+ private:
+  Rng rng_;
+  double clock_ = 0.0;
+  QueryId next_id_ = 0;
+  std::size_t remaining_;
+  double rate_;
+  double wave_amplitude_;
+  double wave_period_;
+  OnlineConfig::Arrivals mode_;
+};
+
+/// Sim-time gap between telemetry refresh ticks when a status board is
+/// attached.  Ticks read state and publish; they never write sim state, so
+/// the cadence is not part of the determinism contract.
+constexpr double kStatusTickGap = 0.25;
 
 double slack_percentile(std::vector<double>& xs, double p) {
   std::sort(xs.begin(), xs.end());
@@ -105,8 +214,9 @@ std::uint64_t sim_ns(double seconds) {
              : static_cast<std::uint64_t>(std::llround(seconds * 1e9));
 }
 
-}  // namespace
-
+/// Post-run aggregation: exact admitted recount, throughput, and the
+/// deadline-SLO rollup over the flat demand-end table.  Pure function of
+/// its inputs.
 void finalize_online_result(const Instance& inst, const DemandLayout& layout,
                             const std::vector<DemandEnd>& demand_ends,
                             OnlineResult* res) {
@@ -165,6 +275,15 @@ void finalize_online_result(const Instance& inst, const DemandLayout& layout,
   }
 }
 
+/// Effective link capacity of the flow backend in the contention-free
+/// limit (OnlineConfig::oversubscription == 0).  Large enough that no link
+/// ever binds (every transfer is capped at nominal rate 1.0), small enough
+/// that capacity arithmetic stays finite.
+constexpr double kContentionFreeCapacity = 1e18;
+
+/// Per-edge effective capacities for the flow backend:
+/// `edge.capacity / oversubscription`, or kContentionFreeCapacity for every
+/// edge when oversubscription == 0.
 std::vector<double> flow_link_capacities(const Graph& g,
                                          double oversubscription) {
   std::vector<double> caps;
@@ -176,6 +295,11 @@ std::vector<double> flow_link_capacities(const Graph& g,
   return caps;
 }
 
+/// Predicted-vs-actual gap rollup of the flow backend.  `predicted` holds
+/// the table-priced completion per query (what OnlineOutcome::
+/// completion_time would be on a kTable run); the actuals are read from
+/// res->outcomes.  Fills every FlowGapStats field except flows_routed /
+/// rate_changes, which the run accumulates live.
 void finalize_flow_gap(const Instance& inst,
                        const std::vector<double>& predicted,
                        OnlineResult* res) {
@@ -203,6 +327,9 @@ void finalize_flow_gap(const Instance& inst,
                        : 0.0;
 }
 
+/// Emit the buffered span timeline as async 'b'/'e' pairs (and 'n'
+/// instants) on the sim-clock trace track.  Call only when the trace facet
+/// is on.
 void emit_online_spans(const std::vector<SpanRec>& spans,
                        const std::vector<SpanRec>& instants) {
   // Async 'b'/'e' pairs (and 'n' instants) on pid 2 — the sim-clock track —
@@ -219,59 +346,65 @@ void emit_online_spans(const std::vector<SpanRec>& spans,
   }
 }
 
-}  // namespace online_detail
+}  // namespace
 
-namespace {
+// run_online executes on the allocation-free event core of
+// sim/event_kernel.h:
+//
+//  * POD events in a 4-ary (time, seq) heap; dispatch is the switch in the
+//    run loop below.  Banded seqs order simultaneous events (faults <
+//    arrivals < dynamic events < status ticks), FIFO within a band.
+//  * Arrivals and fault events stream lazily — the heap holds one pending
+//    arrival, one pending fault, the in-flight completions, and at most one
+//    status tick, so event storage is O(inflight), not O(horizon).
+//  * Flights live in a generation-stamped slab: a completion event for a
+//    killed or relocated flight dereferences to null and self-discards.
+//  * Replica membership is mirrored in a per-(dataset, site) byte mask, so
+//    the admission scan's replica check is O(1) instead of O(|replicas|).
+//
+// Every floating-point accumulation (site loads, in_use_total, tentative
+// reservations) happens in a fixed order; tests/golden/ pins the results
+// bit for bit.
+OnlineResult run_online(const Instance& inst, const OnlineConfig& cfg,
+                        const ReplicaPlan* proactive) {
+  if (!inst.finalized()) {
+    throw std::invalid_argument("run_online: instance not finalized");
+  }
+  if (cfg.arrival_rate <= 0.0) {
+    throw std::invalid_argument("run_online: arrival rate must be positive");
+  }
+  if (!(cfg.oversubscription >= 0.0) ||
+      !std::isfinite(cfg.oversubscription)) {
+    throw std::invalid_argument(
+        "run_online: oversubscription must be finite and >= 0");
+  }
+  if (proactive != nullptr && &proactive->instance() != &inst) {
+    throw std::invalid_argument("run_online: proactive plan is for a "
+                                "different instance");
+  }
+  validate_fault_trace(inst, cfg.faults);
 
-using online_detail::DemandEnd;
-using online_detail::DemandLayout;
-using online_detail::demand_span_id;
-using online_detail::kNoSpan;
-using online_detail::OnlineArrivalStream;
-using online_detail::query_span_id;
-using online_detail::SiteLoad;
-using online_detail::SpanRec;
-
-/// One admitted demand currently holding resource at a site.  Flights are
-/// append-only; `alive` flips when the work completes or a fault kills it,
-/// so a stale completion event is a no-op instead of a double-credit.
-struct Inflight {
-  QueryId query = 0;
-  std::uint32_t demand = 0;
-  SiteId site = kInvalidSite;
-  double need = 0.0;
-  bool alive = false;
-};
-
-/// The original closure-based engine, kept as the bit-identity oracle for
-/// the typed kernel (OnlineKernel::kClosure): one std::function per event,
-/// whole horizon pre-scheduled, grow-only flight vector.
-OnlineResult run_online_closure(const Instance& inst, const OnlineConfig& cfg,
-                                const ReplicaPlan* proactive) {
-  EventQueue eq;
+  TypedEventQueue queue;
+  queue.reserve(256);
+  FlightSlab slab;
   FaultState faults(inst);
 
-  // Telemetry facets, sampled once so a mid-run toggle cannot tear the run.
-  // None of them feeds back into a decision: the simulation is bit-identical
-  // with every facet on or off (pinned by obs_equivalence_test).
   const bool metrics_on = obs::metrics_enabled();
   const bool trace_on = obs::trace_enabled();
   const bool audit_on = obs::audit_enabled();
-  // Flight recorder, mirrored append-for-append with the typed kernel so a
-  // fixed config journals byte-identically on either engine.
+  // Flight recorder: sampled once like the other facets.  A fixed config
+  // yields a byte-identical journal (pinned by tests/golden/*.journal).
   const bool rec_on = obs::recorder_enabled();
   obs::Recorder* const rec = rec_on ? &obs::recorder() : nullptr;
   // Watchdog (5th facet), sampled once like the recorder.  Feeds sit at
-  // the recorder's mirrored append sites and carry only sim-clock times and
-  // stable ids, so the alert stream is byte-identical across kernels.
+  // the recorder's append sites and carry only sim-clock times and stable
+  // ids, so the alert stream is byte-reproducible.
   const bool wd_on = obs::watchdog_enabled();
   obs::Watchdog* const wd = wd_on ? &obs::watchdog() : nullptr;
   if (wd != nullptr) wd->begin_run();
   OnlineStatusBoard* board = cfg.status_board;
   std::vector<obs::AuditEntry> audit_entries;
 
-  // Arrival-path counters, resolved once: the per-arrival cost is a null
-  // check and two striped increments, not three registry guard loads.
   obs::Counter* c_arrivals = nullptr;
   obs::Counter* c_admitted = nullptr;
   obs::Counter* c_rejected = nullptr;
@@ -287,46 +420,67 @@ OnlineResult run_online_closure(const Instance& inst, const OnlineConfig& cfg,
   }
 
   OnlineResult res;
-  res.kernel_stats.kernel = OnlineKernel::kClosure;
-  res.replica_sites.resize(inst.datasets().size());
+  const std::size_t num_sites = inst.sites().size();
+  const std::size_t num_datasets = inst.datasets().size();
+
+  // Replica state: the per-dataset site vectors are the contract-visible
+  // representation; the byte mask is an O(1)-lookup mirror of it (the hot
+  // admission scan asks "replica here?" once per site per demand).
+  res.replica_sites.resize(num_datasets);
+  std::vector<std::uint8_t> replica_mask(num_datasets * num_sites, 0);
+  auto add_replica = [&](DatasetId n, SiteId l) {
+    res.replica_sites[n].push_back(l);
+    replica_mask[static_cast<std::size_t>(n) * num_sites + l] = 1;
+  };
+  auto has_replica = [&](DatasetId n, SiteId l) {
+    return replica_mask[static_cast<std::size_t>(n) * num_sites + l] != 0;
+  };
   if (proactive != nullptr) {
     for (const Dataset& d : inst.datasets()) {
-      res.replica_sites[d.id] = proactive->replica_sites(d.id);
+      for (const SiteId l : proactive->replica_sites(d.id)) {
+        add_replica(d.id, l);
+      }
     }
   } else if (cfg.origin_counts_as_replica) {
     for (const Dataset& d : inst.datasets()) {
-      if (d.origin != kInvalidSite) {
-        res.replica_sites[d.id].push_back(d.origin);
-      }
+      if (d.origin != kInvalidSite) add_replica(d.id, d.origin);
     }
   }
 
-  std::vector<SiteLoad> sites(inst.sites().size());
+  std::vector<SiteLoad> sites(num_sites);
   double total_available = 0.0;
   for (const Site& s : inst.sites()) {
     sites[s.id].available = s.available;
     total_available += s.available;
   }
 
-  std::vector<Inflight> flights;
-  std::vector<std::vector<std::size_t>> by_site(sites.size());
-  std::vector<std::vector<std::size_t>> by_query(inst.queries().size());
-  // Running aggregates for the status board; maintained unconditionally
-  // (two additions per launch/retire) so the board never perturbs the run.
+  // Per-site flight handles (consulted only by fault handlers).  Stale
+  // handles are skipped on read and compacted when they outnumber the live
+  // ones, so each list stays O(peak live at that site), not O(launches).
+  std::vector<std::vector<FlightHandle>> site_flights(num_sites);
+  std::vector<std::uint32_t> site_live(num_sites, 0);
+  auto compact_site = [&](std::vector<FlightHandle>& v) {
+    std::size_t w = 0;
+    for (const FlightHandle h : v) {
+      if (slab.get(h) != nullptr) v[w++] = h;
+    }
+    v.resize(w);
+  };
+
   std::size_t inflight_count = 0;
   double in_use_total = 0.0;
   std::size_t arrivals_seen = 0;
   std::size_t rejected_queries = 0;
 
-  // Deadline-SLO bookkeeping: final serving site + absolute completion per
-  // admitted demand (relocation overwrites), in one flat table.
   const DemandLayout layout(inst);
   std::vector<DemandEnd> demand_ends(layout.total());
+  // Latest flight per (query, demand) — the fault path's kill index.
+  std::vector<FlightHandle> qd_flight(layout.total());
 
-  // Flow backend (cfg.network == kFlow): every admitted transfer is replayed
-  // as a rate-capped flow over its shortest path, and the contention-
-  // stretched completion overwrites (via max) the table-predicted one in
-  // demand_ends / outcomes.  Admission pricing stays on the delay table.
+  // Flow backend (cfg.network == kFlow): every admitted transfer is
+  // replayed as a rate-capped flow whose contention-stretched completion
+  // overwrites (via max) the table prediction.  Completions surface as
+  // kTransferDone events in the run loop below.
   const bool flow_on = cfg.network == OnlineNetwork::kFlow;
   std::unique_ptr<FlowEngine> flow;
   RouteTable routes;
@@ -338,11 +492,10 @@ OnlineResult run_online_closure(const Instance& inst, const OnlineConfig& cfg,
   std::vector<double> flow_predicted;   // per query, table-priced completion
   std::size_t flow_late = 0;            // deliveries after predicted time
   if (flow_on) {
-    flow_base_caps = online_detail::flow_link_capacities(
-        inst.graph(), cfg.oversubscription);
-    flow = std::make_unique<FlowEngine>(eq, flow_base_caps);
+    flow_base_caps = flow_link_capacities(inst.graph(), cfg.oversubscription);
+    flow = std::make_unique<FlowEngine>(queue, flow_base_caps);
     std::vector<NodeId> site_nodes;
-    site_nodes.reserve(inst.sites().size());
+    site_nodes.reserve(num_sites);
     for (const Site& s : inst.sites()) site_nodes.push_back(s.node);
     routes = RouteTable::compute(inst.graph(), site_nodes);
     slot_query.resize(layout.total());
@@ -377,34 +530,42 @@ OnlineResult run_online_closure(const Instance& inst, const OnlineConfig& cfg,
     });
   }
 
-  // Span timelines (trace facet): buffered locally, emitted after the run.
   std::vector<SpanRec> spans;
-  std::vector<SpanRec> instants;  // t0 only; 'n' events (crash / relocate)
+  std::vector<SpanRec> instants;
   std::vector<std::size_t> query_span(inst.queries().size(), kNoSpan);
-  std::vector<std::array<std::size_t, 2>> flight_spans;  // [transfer, compute]
 
-  auto has_replica = [&](DatasetId n, SiteId l) {
-    const auto& v = res.replica_sites[n];
-    return std::find(v.begin(), v.end(), l) != v.end();
-  };
-
-  // O(1): in_use_total is already maintained incrementally by every
-  // launch/retire, so the peak never needs a sum over sites.  The typed
-  // kernel applies the identical ±need sequence, so the quotient is
-  // bit-identical across kernels.
   auto track_peak = [&] {
     if (total_available <= 0.0) return;
     res.peak_utilization =
         std::max(res.peak_utilization, in_use_total / total_available);
   };
 
-  /// Publish a throttled snapshot to the status board and refresh the live
-  /// gauges.  Reads sim state, never writes it.  Gauges and snapshots are
-  /// point-in-time views, so both ride the same two-stage throttle: a
-  /// branch-and-mask event pre-gate (every event), then a ~2 ms wall-clock
-  /// floor (every 32nd event) — scrapers see fresh-enough data and the
-  /// event loop never reads a clock or builds vectors per event.
   std::uint32_t status_tick = 0;
+  auto publish_board = [&](bool finished) {
+    OnlineStatus st;
+    st.sim_clock = queue.now();
+    st.arrivals_seen = arrivals_seen;
+    st.inflight_demands = inflight_count;
+    st.admitted_queries = res.admitted_queries;
+    st.rejected_queries = rejected_queries;
+    st.failed_by_fault = res.queries_failed_by_fault;
+    st.demands_relocated = res.demands_relocated;
+    st.fault_events_applied = res.fault_events_applied;
+    st.replicas_lost = res.replicas_lost_to_faults;
+    st.utilization =
+        total_available > 0.0 ? in_use_total / total_available : 0.0;
+    st.site_in_use.reserve(num_sites);
+    st.site_available.reserve(num_sites);
+    for (const Site& s : inst.sites()) {
+      st.site_in_use.push_back(sites[s.id].in_use);
+      st.site_available.push_back(faults.available(s.id));
+    }
+    st.active_flows = flow_on ? flow->active_flows() : 0;
+    st.flow_rate_changes = res.flow_gap.rate_changes;
+    st.flow_late_transfers = flow_late;
+    st.finished = finished;
+    board->publish(st);
+  };
   auto push_status = [&](bool force) {
     if (!metrics_on && board == nullptr) return;
     if (!force) {
@@ -420,9 +581,33 @@ OnlineResult run_online_closure(const Instance& inst, const OnlineConfig& cfg,
           "edgerep_online_utilization",
           "in-use GHz over fault-free total GHz");
       g_inflight.set(static_cast<double>(inflight_count));
-      g_clock.set(eq.now());
+      g_clock.set(queue.now());
       g_util.set(total_available > 0.0 ? in_use_total / total_available
                                        : 0.0);
+      // Event-core internals, refreshed on the same cadence so /metrics and
+      // /timeseries expose the event core's live state during --serve.
+      static obs::Gauge& g_pending = obs::metrics().gauge(
+          "edgerep_kernel_pending_events",
+          "event core: events pending (heap + immediates ring)");
+      static obs::Gauge& g_peak_pending = obs::metrics().gauge(
+          "edgerep_kernel_peak_pending_events",
+          "event core: high-water of pending events");
+      static obs::Gauge& g_live_flights = obs::metrics().gauge(
+          "edgerep_kernel_live_flights", "flight slab: live slots");
+      static obs::Gauge& g_peak_flights = obs::metrics().gauge(
+          "edgerep_kernel_peak_flights", "flight slab: high-water of live slots");
+      static obs::Gauge& g_slab_churn = obs::metrics().gauge(
+          "edgerep_kernel_flight_destroys",
+          "flight slab: generation churn (slots destroyed and recycled)");
+      static obs::Gauge& g_ring_hw = obs::metrics().gauge(
+          "edgerep_kernel_ring_high_water",
+          "event core: immediates-ring occupancy high-water");
+      g_pending.set(static_cast<double>(queue.pending()));
+      g_peak_pending.set(static_cast<double>(queue.peak_pending()));
+      g_live_flights.set(static_cast<double>(slab.live_count()));
+      g_peak_flights.set(static_cast<double>(slab.peak_live()));
+      g_slab_churn.set(static_cast<double>(slab.destroys()));
+      g_ring_hw.set(static_cast<double>(queue.peak_ring_pending()));
       if (flow_on) {
         static obs::Gauge& g_flows = obs::metrics().gauge(
             "edgerep_online_active_flows",
@@ -439,29 +624,7 @@ OnlineResult run_online_closure(const Instance& inst, const OnlineConfig& cfg,
       }
     }
     if (board == nullptr) return;
-    OnlineStatus st;
-    st.sim_clock = eq.now();
-    st.arrivals_seen = arrivals_seen;
-    st.inflight_demands = inflight_count;
-    st.admitted_queries = res.admitted_queries;
-    st.rejected_queries = rejected_queries;
-    st.failed_by_fault = res.queries_failed_by_fault;
-    st.demands_relocated = res.demands_relocated;
-    st.fault_events_applied = res.fault_events_applied;
-    st.replicas_lost = res.replicas_lost_to_faults;
-    st.utilization =
-        total_available > 0.0 ? in_use_total / total_available : 0.0;
-    st.site_in_use.reserve(sites.size());
-    st.site_available.reserve(sites.size());
-    for (const Site& s : inst.sites()) {
-      st.site_in_use.push_back(sites[s.id].in_use);
-      st.site_available.push_back(faults.available(s.id));
-    }
-    st.active_flows = flow_on ? flow->active_flows() : 0;
-    st.flow_rate_changes = res.flow_gap.rate_changes;
-    st.flow_late_transfers = flow_late;
-    st.finished = force && arrivals_seen == inst.queries().size();
-    board->publish(st);
+    publish_board(force && arrivals_seen == inst.queries().size());
   };
 
   /// Abort the live flow of one (query, demand) slot, if any — kill paths
@@ -512,7 +675,6 @@ OnlineResult run_online_closure(const Instance& inst, const OnlineConfig& cfg,
     }
     const std::uint32_t slot = flow->start_flow(
         total, std::vector<EdgeId>(route_buf.begin(), route_buf.end()),
-        [&, ls] { deliver_transfer(ls, eq.now()); },
         static_cast<std::uint32_t>(ls), /*rate_cap=*/1.0);
     if (slot != FlowEngine::kNoFlow) {
       qd_flow[ls] = slot;
@@ -534,79 +696,59 @@ OnlineResult run_online_closure(const Instance& inst, const OnlineConfig& cfg,
     }
   };
 
-  /// Truncate a killed flight's spans at the kill instant (a demand span
-  /// that never started is dropped at emission: t1 ≤ t0).
-  auto truncate_flight_spans = [&](std::size_t idx) {
+  auto truncate_flight_spans = [&](const Flight& f) {
     if (!trace_on) return;
-    for (const std::size_t si : flight_spans[idx]) {
-      if (si == kNoSpan) continue;
-      spans[si].t0 = std::min(spans[si].t0, eq.now());
-      spans[si].t1 = std::min(spans[si].t1, eq.now());
+    for (const std::uint32_t si : {f.span_transfer, f.span_compute}) {
+      if (si == kNilSlot) continue;
+      spans[si].t0 = std::min(spans[si].t0, queue.now());
+      spans[si].t1 = std::min(spans[si].t1, queue.now());
     }
   };
 
-  /// Release a flight's resource (idempotent).  The slot's flow, if still
-  /// in the air, is silently aborted — a killed demand delivers nothing.
-  auto kill_flight = [&](std::size_t idx) {
-    Inflight& f = flights[idx];
-    if (!f.alive) return;
-    f.alive = false;
-    sites[f.site].in_use -= f.need;
+  /// Release a flight's resource and recycle its slot (no-op on stale
+  /// handles).  The slot's flow, if still in the air, is silently aborted.
+  auto kill_flight = [&](FlightHandle h) {
+    Flight* f = slab.get(h);
+    if (f == nullptr) return;
+    sites[f->site].in_use -= f->need;
     --inflight_count;
-    in_use_total -= f.need;
-    cancel_transfer(layout.at(f.query, f.demand));
-    truncate_flight_spans(idx);
+    in_use_total -= f->need;
+    --site_live[f->site];
+    cancel_transfer(layout.at(f->query, f->demand));
+    truncate_flight_spans(*f);
+    slab.destroy(h);
   };
 
-  /// Register a new flight at `site` and schedule its completion.  `total`
-  /// is the full evaluation delay (transfer + processing) for the span
-  /// timeline; resource is held for the processing window `proc` only.
   auto launch_flight = [&](QueryId m, std::uint32_t demand, SiteId site,
                            double need, double proc, double total) {
-    const std::size_t idx = flights.size();
-    flights.push_back({m, demand, site, need, true});
-    flight_spans.push_back({kNoSpan, kNoSpan});
+    const FlightHandle h = slab.create();
+    Flight& f = slab.at(h.slot);
+    f.query = m;
+    f.demand = demand;
+    f.site = site;
+    f.need = need;
     if (trace_on) {
-      const double t0 = eq.now();
+      const double t0 = queue.now();
       const double t_mid = t0 + std::max(0.0, total - proc);
-      flight_spans[idx][0] = spans.size();
+      f.span_transfer = static_cast<std::uint32_t>(spans.size());
       spans.push_back({"online.transfer", demand_span_id(m, demand, 1), t0,
                        t_mid});
-      flight_spans[idx][1] = spans.size();
+      f.span_compute = static_cast<std::uint32_t>(spans.size());
       spans.push_back({"online.compute", demand_span_id(m, demand, 2), t_mid,
                        t0 + total});
     }
-    by_site[site].push_back(idx);
-    by_query[m].push_back(idx);
+    site_flights[site].push_back(h);
+    ++site_live[site];
+    if (site_flights[site].size() > 64 &&
+        site_flights[site].size() > 2 * site_live[site]) {
+      compact_site(site_flights[site]);
+    }
+    qd_flight[layout.at(m, demand)] = h;
     sites[site].in_use += need;
     ++inflight_count;
-    if (inflight_count > res.kernel_stats.peak_flights) {
-      res.kernel_stats.peak_flights = inflight_count;
-    }
     in_use_total += need;
-    eq.schedule_in(proc, [&, idx] {
-      Inflight& f = flights[idx];
-      if (!f.alive) return;
-      if (rec_on) {
-        obs::JournalRecord r;
-        r.time = eq.now();
-        r.a = f.query;
-        r.site = f.site;
-        r.kind = static_cast<std::uint8_t>(obs::RecordKind::kComputeDone);
-        r.arg = static_cast<std::uint8_t>(f.demand);
-        rec->append(r);
-      }
-      f.alive = false;
-      sites[f.site].in_use -= f.need;
-      --inflight_count;
-      in_use_total -= f.need;
-      if (wd != nullptr) {
-        const double eff = faults.available(f.site);
-        wd->on_site_util(eq.now(), f.site,
-                         eff > 0.0 ? sites[f.site].in_use / eff : 1.0);
-      }
-      push_status(false);
-    });
+    queue.push_dynamic(EvKind::kComputeDone, queue.now() + proc, h.slot,
+                       h.gen);
   };
 
   // Journal append for a launched flight (admission or fault relocation).
@@ -614,7 +756,7 @@ OnlineResult run_online_closure(const Instance& inst, const OnlineConfig& cfg,
                            std::uint32_t demand, SiteId site, DatasetId n,
                            double total, double proc) {
     obs::JournalRecord r;
-    r.time = eq.now();
+    r.time = queue.now();
     r.v0 = total;
     r.v1 = proc;
     r.a = m;
@@ -626,30 +768,39 @@ OnlineResult run_online_closure(const Instance& inst, const OnlineConfig& cfg,
     rec->append(r);
   };
 
-  /// An admitted query lost a demand it could not recover: kill its other
-  /// flights (a query only counts when every demand completes) and flip the
-  /// outcome.
+  // Scratch for fail_query: (birth, handle) of the query's live flights.
+  std::vector<std::pair<std::uint64_t, FlightHandle>> kill_buf;
   auto fail_query = [&](QueryId m) {
     if (res.outcomes[m].failed_by_fault) return;
     if (rec_on) {
       obs::JournalRecord r;
-      r.time = eq.now();
+      r.time = queue.now();
       r.a = m;
       r.site = obs::kNoSite;
       r.kind = static_cast<std::uint8_t>(obs::RecordKind::kFail);
       rec->append(r);
     }
-    if (wd != nullptr) wd->on_completion(eq.now(), -1.0, true);
-    for (const std::size_t idx : by_query[m]) kill_flight(idx);
+    if (wd != nullptr) wd->on_completion(queue.now(), -1.0, true);
+    // Kill in launch order (birth), so the load ledger's ± sequence — part
+    // of the golden contract — does not depend on slot reuse.
+    const Query& q = inst.query(m);
+    kill_buf.clear();
+    const std::size_t base = layout.at(m, 0);
+    for (std::size_t d = 0; d < q.demands.size(); ++d) {
+      const FlightHandle h = qd_flight[base + d];
+      const Flight* f = slab.get(h);
+      if (f != nullptr) kill_buf.emplace_back(f->birth, h);
+    }
+    std::sort(kill_buf.begin(), kill_buf.end(),
+              [](const auto& x, const auto& y) { return x.first < y.first; });
+    for (const auto& [birth, h] : kill_buf) kill_flight(h);
     if (flow_on) {
       // Demands whose compute already finished may still be shipping their
       // result; a failed query delivers nothing, so abort every slot.
-      const std::size_t base = layout.at(m, 0);
-      const std::size_t count = inst.query(m).demands.size();
-      for (std::size_t d = 0; d < count; ++d) cancel_transfer(base + d);
+      for (std::size_t d = 0; d < q.demands.size(); ++d) {
+        cancel_transfer(base + d);
+      }
     }
-    // Keep the provisional live count honest; the exact count is recomputed
-    // from outcomes after eq.run().
     if (res.outcomes[m].admitted && res.admitted_queries > 0) {
       --res.admitted_queries;
     }
@@ -659,9 +810,10 @@ OnlineResult run_online_closure(const Instance& inst, const OnlineConfig& cfg,
     if (trace_on) {
       if (query_span[m] != kNoSpan) {
         spans[query_span[m]].t1 =
-            std::min(spans[query_span[m]].t1, eq.now());
+            std::min(spans[query_span[m]].t1, queue.now());
       }
-      instants.push_back({"online.crash", query_span_id(m), eq.now(), 0.0});
+      instants.push_back({"online.crash", query_span_id(m), queue.now(),
+                          0.0});
     }
     if (metrics_on) {
       static obs::Counter& failed = obs::metrics().counter(
@@ -670,7 +822,6 @@ OnlineResult run_online_closure(const Instance& inst, const OnlineConfig& cfg,
       failed.inc();
     }
     if (audit_on) {
-      const Query& q = inst.query(m);
       obs::AuditEntry e;
       e.algorithm = "online";
       e.query = m;
@@ -681,80 +832,119 @@ OnlineResult run_online_closure(const Instance& inst, const OnlineConfig& cfg,
     }
   };
 
-  /// Pick the least-relatively-filled surviving site able to serve one
-  /// demand right now (same scarcity rule as admission).  Returns
-  /// kInvalidSite when none fits.
-  auto best_site_for = [&](const Query& q, const DatasetDemand& dd,
-                           double need, bool* new_replica) {
-    SiteId best = kInvalidSite;
-    double best_fill = 0.0;
+  // Admission scratch, reused across arrivals.  `tentative` and
+  // `tentative_replicas` are dirty-reset: only the entries an admission
+  // touched are zeroed, so each arrival sees exact zeros without O(sites)
+  // work.
+  struct Decision {
+    SiteId site = kInvalidSite;
+    bool new_replica = false;
+    double need = 0.0;
+    double proc = 0.0;
+    double total_delay = 0.0;
+  };
+  std::vector<Decision> decisions;
+  std::vector<double> tentative(num_sites, 0.0);
+  std::vector<SiteId> tentative_dirty;
+  std::vector<std::size_t> tentative_replicas(num_datasets, 0);
+  std::vector<DatasetId> tentative_rep_dirty;
+
+  // Candidate-ordered site selection.  The spec is the (fill, site) argmin
+  // over every up, replica-admissible, capacity- and deadline-feasible
+  // site.  Testing the deadline of every site would touch one strided
+  // delay-table row per candidate — a cache miss each at 10k sites — so
+  // the capacity/replica filters and the fill run first over contiguous
+  // state, then the deadline (the only delay-table touch) is tested in
+  // (fill, site) order.  Strict `<` keeps the lowest site id among equal
+  // fills, so the winner is exactly the spec's argmin.
+  std::vector<std::pair<double, SiteId>> cand;
+  auto select_site = [&](const Query& q, const DatasetDemand& dd, double need,
+                         bool use_tentative, bool* new_replica) {
+    cand.clear();
+    const std::size_t replicas =
+        res.replica_sites[dd.dataset].size() +
+        (use_tentative ? tentative_replicas[dd.dataset] : 0);
+    const bool budget_left =
+        cfg.reactive_replicas && replicas < inst.max_replicas();
     for (const Site& s : inst.sites()) {
       if (!faults.site_up(s.id)) continue;
-      const bool replica_here = has_replica(dd.dataset, s.id);
-      if (!replica_here) {
-        if (!cfg.reactive_replicas) continue;
-        if (res.replica_sites[dd.dataset].size() >= inst.max_replicas()) {
-          continue;
-        }
-      }
-      if (!faults.deadline_ok(q, dd, s.id)) continue;
+      if (!has_replica(dd.dataset, s.id) && !budget_left) continue;
       const double eff = faults.available(s.id);
-      const double load = sites[s.id].in_use;
+      const double load =
+          sites[s.id].in_use + (use_tentative ? tentative[s.id] : 0.0);
       if (load + need > eff + 1e-9) continue;
       const double fill = eff > 0.0 ? (load + need) / eff : 1e18;
-      if (best == kInvalidSite || fill < best_fill) {
-        best = s.id;
-        *new_replica = !replica_here;
-        best_fill = fill;
-      }
+      cand.emplace_back(fill, s.id);
     }
-    return best;
+    std::size_t misses = 0;
+    while (!cand.empty()) {
+      if (misses >= 8) {
+        // Deadline-hostile regime: order the survivors once and walk.
+        std::sort(cand.begin(), cand.end());
+        for (const auto& [fill, site] : cand) {
+          if (faults.deadline_ok(q, dd, site)) {
+            *new_replica = !has_replica(dd.dataset, site);
+            return site;
+          }
+        }
+        return kInvalidSite;
+      }
+      const auto it = std::min_element(cand.begin(), cand.end());
+      const SiteId site = it->second;
+      if (faults.deadline_ok(q, dd, site)) {
+        *new_replica = !has_replica(dd.dataset, site);
+        return site;
+      }
+      *it = cand.back();
+      cand.pop_back();
+      ++misses;
+    }
+    return kInvalidSite;
   };
 
-  /// Re-seat one displaced (dead) flight on a surviving site.  The work
-  /// restarts from scratch at the new site (the partial result died with
-  /// the old one).
-  auto relocate = [&](std::size_t idx) {
-    const Inflight f = flights[idx];
-    const Query& q = inst.query(f.query);
-    const DatasetDemand& dd = q.demands[f.demand];
+  auto best_site_for = [&](const Query& q, const DatasetDemand& dd,
+                           double need, bool* new_replica) {
+    return select_site(q, dd, need, /*use_tentative=*/false, new_replica);
+  };
+
+  auto try_relocate = [&](QueryId m, std::uint32_t demand, double need) {
+    const Query& q = inst.query(m);
+    const DatasetDemand& dd = q.demands[demand];
     bool new_replica = false;
-    const SiteId site = best_site_for(q, dd, f.need, &new_replica);
+    const SiteId site = best_site_for(q, dd, need, &new_replica);
     if (site == kInvalidSite) return false;
-    if (new_replica) res.replica_sites[dd.dataset].push_back(site);
+    if (new_replica) add_replica(dd.dataset, site);
     const Dataset& ds = inst.dataset(dd.dataset);
     const double total = faults.evaluation_delay(q, dd, site);
     const double proc = ds.volume * inst.site(site).proc_delay;
-    launch_flight(f.query, f.demand, site, f.need, proc, total);
-    const double completion = eq.now() + total;
-    res.outcomes[f.query].completion_time =
-        std::max(res.outcomes[f.query].completion_time, completion);
-    demand_ends[layout.at(f.query, f.demand)] = {site, completion};
+    launch_flight(m, demand, site, need, proc, total);
+    const double completion = queue.now() + total;
+    res.outcomes[m].completion_time =
+        std::max(res.outcomes[m].completion_time, completion);
+    demand_ends[layout.at(m, demand)] = {site, completion};
     ++res.demands_relocated;
     if (rec_on) {
-      record_flight(obs::RecordKind::kRelocate, f.query, f.demand, site,
-                    dd.dataset, total, proc);
+      record_flight(obs::RecordKind::kRelocate, m, demand, site, dd.dataset,
+                    total, proc);
     }
     if (wd != nullptr) {
       const double eff = faults.available(site);
-      wd->on_site_util(eq.now(), site,
+      wd->on_site_util(queue.now(), site,
                        eff > 0.0 ? sites[site].in_use / eff : 1.0);
       wd->on_completion(
-          eq.now(),
-          q.deadline - (completion - res.outcomes[f.query].arrival_time),
-          false);
+          queue.now(),
+          q.deadline - (completion - res.outcomes[m].arrival_time), false);
     }
-    start_transfer(f.query, f.demand, site, total);
+    start_transfer(m, demand, site, total);
     if (flow_on) {
-      flow_predicted[f.query] = std::max(flow_predicted[f.query], completion);
+      flow_predicted[m] = std::max(flow_predicted[m], completion);
     }
     if (trace_on) {
-      instants.push_back({"online.relocate",
-                          demand_span_id(f.query, f.demand, 0), eq.now(),
-                          0.0});
-      if (query_span[f.query] != kNoSpan) {
-        spans[query_span[f.query]].t1 =
-            std::max(spans[query_span[f.query]].t1, completion);
+      instants.push_back({"online.relocate", demand_span_id(m, demand, 0),
+                          queue.now(), 0.0});
+      if (query_span[m] != kNoSpan) {
+        spans[query_span[m]].t1 =
+            std::max(spans[query_span[m]].t1, completion);
       }
     }
     if (metrics_on) {
@@ -766,101 +956,125 @@ OnlineResult run_online_closure(const Instance& inst, const OnlineConfig& cfg,
     return true;
   };
 
-  /// A displaced flight either relocates or takes its whole query down.
-  auto displace = [&](std::size_t idx) {
-    const QueryId m = flights[idx].query;
+  /// kRelocate handler: re-seat one displaced demand, or fail its query.
+  /// The displaced flight was already killed (its slot may be reused), so
+  /// the event payload carries everything relocation needs.
+  auto handle_relocate = [&](const SimEvent& ev) {
+    const QueryId m = ev.a;
     if (res.outcomes[m].failed_by_fault) return;
-    if (!cfg.repair_on_failure || !relocate(idx)) fail_query(m);
+    if (!cfg.repair_on_failure || !try_relocate(m, ev.b, ev.c)) {
+      fail_query(m);
+    }
   };
 
   auto on_site_down = [&](SiteId s) {
-    // Replicas stored at the crashed site are lost (recovery restores
-    // capacity, not data).
-    for (auto& v : res.replica_sites) {
-      const auto it = std::find(v.begin(), v.end(), s);
-      if (it != v.end()) {
-        v.erase(it);
-        ++res.replicas_lost_to_faults;
-      }
+    // Replicas stored at the crashed site are lost.
+    for (DatasetId n = 0; n < num_datasets; ++n) {
+      if (!has_replica(n, s)) continue;
+      auto& v = res.replica_sites[n];
+      v.erase(std::find(v.begin(), v.end(), s));
+      replica_mask[static_cast<std::size_t>(n) * num_sites + s] = 0;
+      ++res.replicas_lost_to_faults;
     }
-    // Kill the in-flight work first so relocations see the freed ledger,
-    // then re-seat (or fail) in admission order.
-    std::vector<std::size_t> displaced;
-    for (const std::size_t idx : by_site[s]) {
-      if (flights[idx].alive) displaced.push_back(idx);
+    // Kill every displaced flight first (so relocations see the freed
+    // ledger), then post + drain their relocations in admission order.
+    struct Displaced {
+      QueryId query;
+      std::uint32_t demand;
+      double need;
+      FlightHandle h;
+    };
+    std::vector<Displaced> displaced;
+    for (const FlightHandle h : site_flights[s]) {
+      const Flight* f = slab.get(h);
+      if (f != nullptr) displaced.push_back({f->query, f->demand, f->need, h});
     }
-    for (const std::size_t idx : displaced) {
+    for (const Displaced& d : displaced) {
       if (rec_on) {
-        const Inflight& f = flights[idx];
         obs::JournalRecord r;
-        r.time = eq.now();
-        r.a = f.query;
+        r.time = queue.now();
+        r.a = d.query;
         r.site = s;
         r.kind = static_cast<std::uint8_t>(obs::RecordKind::kShed);
-        r.arg = static_cast<std::uint8_t>(f.demand);
+        r.arg = static_cast<std::uint8_t>(d.demand);
         r.flags = 0;  // shed cause: site down
         rec->append(r);
       }
-      kill_flight(idx);
+      kill_flight(d.h);
     }
-    by_site[s].clear();
-    for (const std::size_t idx : displaced) displace(idx);
+    site_flights[s].clear();
+    for (const Displaced& d : displaced) {
+      queue.post(SimEvent{0.0, 0, d.query, d.demand, d.need,
+                          EvKind::kRelocate});
+    }
+    SimEvent iv;
+    while (queue.pop_immediate(&iv)) handle_relocate(iv);
     // Queries aggregating at the crashed home cannot deliver results.
-    for (std::size_t idx = 0; idx < flights.size(); ++idx) {
-      if (flights[idx].alive && inst.query(flights[idx].query).home == s) {
-        fail_query(flights[idx].query);
+    // Walk a snapshot of the live list in creation order — fail_query
+    // mutates it while we walk.
+    std::vector<FlightHandle> live;
+    live.reserve(slab.live_count());
+    for (std::uint32_t slot = slab.live_head(); slot != kNilSlot;
+         slot = slab.at(slot).next) {
+      live.push_back(FlightHandle{slot, slab.at(slot).gen});
+    }
+    for (const FlightHandle h : live) {
+      const Flight* f = slab.get(h);
+      if (f != nullptr && inst.query(f->query).home == s) {
+        fail_query(f->query);
       }
     }
   };
 
+  // Scratch for on_capacity_loss: the struck site's handle list as of the
+  // fault instant.
+  std::vector<FlightHandle> shed_buf;
   auto on_capacity_loss = [&](SiteId s) {
     const double eff = faults.available(s);
     if (sites[s].in_use <= eff + 1e-9) return;
-    // Shed the most recently admitted work first until the site fits its
-    // degraded availability (LIFO: the oldest work is closest to done).
-    // Index-based over the size at entry: a relocation can re-seat work on
-    // this same site (appending to `here`), which would invalidate
-    // iterators; appended flights are by construction within the reduced
-    // availability and are never shed here.
-    auto& here = by_site[s];
-    for (std::size_t i = here.size(); i > 0; --i) {
+    // Shed the most recently admitted work first, relocating each displaced
+    // flight before considering the next — a relocation may legitimately
+    // re-seat on this same (degraded) site, which appends to site_flights[s]
+    // and can trigger compact_site mid-shed.  Walk a snapshot of the handles
+    // present at entry so the live vector is free to grow and compact
+    // underneath us.  Re-seated flights carry fresh generations (their
+    // snapshot handles dereference to null) and fit the reduced availability
+    // by construction, so they are never shed; compaction earlier in the run
+    // only dropped stale handles, so the snapshot's back-to-front walk
+    // visits live flights newest first.
+    shed_buf.assign(site_flights[s].begin(), site_flights[s].end());
+    for (std::size_t i = shed_buf.size(); i > 0; --i) {
       if (sites[s].in_use <= eff + 1e-9) break;
-      const std::size_t idx = here[i - 1];
-      if (!flights[idx].alive) continue;
+      const FlightHandle h = shed_buf[i - 1];
+      const Flight* f = slab.get(h);
+      if (f == nullptr) continue;
+      const QueryId m = f->query;
+      const std::uint32_t demand = f->demand;
+      const double need = f->need;
       if (rec_on) {
-        const Inflight& f = flights[idx];
         obs::JournalRecord r;
-        r.time = eq.now();
-        r.a = f.query;
+        r.time = queue.now();
+        r.a = m;
         r.site = s;
         r.kind = static_cast<std::uint8_t>(obs::RecordKind::kShed);
-        r.arg = static_cast<std::uint8_t>(f.demand);
+        r.arg = static_cast<std::uint8_t>(demand);
         r.flags = 1;  // shed cause: capacity loss
         rec->append(r);
       }
-      kill_flight(idx);
-      displace(idx);
+      kill_flight(h);
+      queue.post(SimEvent{0.0, 0, m, demand, need, EvKind::kRelocate});
+      SimEvent iv;
+      while (queue.pop_immediate(&iv)) handle_relocate(iv);
     }
   };
 
-  // Admission of one query at its arrival instant.  Transactional: collect
-  // a tentative per-demand decision, commit only when every demand lands.
   auto admit = [&](const Query& q, OnlineOutcome& outcome) {
-    struct Decision {
-      SiteId site = kInvalidSite;
-      bool new_replica = false;
-      double need = 0.0;
-      double proc = 0.0;
-      double total_delay = 0.0;
-    };
-    std::vector<Decision> decisions;
-    decisions.reserve(q.demands.size());
-    // Tentative loads so one query's demands see each other's reservations.
-    std::vector<double> tentative(sites.size(), 0.0);
-    std::vector<std::size_t> tentative_replicas(inst.datasets().size(), 0);
+    decisions.clear();
+    for (const SiteId s : tentative_dirty) tentative[s] = 0.0;
+    tentative_dirty.clear();
+    for (const DatasetId n : tentative_rep_dirty) tentative_replicas[n] = 0;
+    tentative_rep_dirty.clear();
 
-    /// Forensics on the failing demand (audit facet only; reads state, so
-    /// the hot admission scan below stays untouched).
     auto classify_rejection = [&](const DatasetDemand& dd) {
       bool any_deadline = false;
       bool any_budget = false;
@@ -882,8 +1096,6 @@ OnlineResult run_online_closure(const Instance& inst, const OnlineConfig& cfg,
       if (!any_budget) return obs::AuditReason::kReplicaBudgetSpent;
       return obs::AuditReason::kCapacityExhausted;
     };
-    /// Log the abort: already-decided siblings roll back, the failing
-    /// demand carries the binding reason.
     auto audit_abort = [&](std::uint32_t failing, obs::AuditReason why) {
       if (!audit_on) return;
       for (std::uint32_t j = 0; j < failing; ++j) {
@@ -911,7 +1123,7 @@ OnlineResult run_online_closure(const Instance& inst, const OnlineConfig& cfg,
 
     auto record_reject = [&](std::uint32_t failing, obs::AuditReason why) {
       obs::JournalRecord r;
-      r.time = eq.now();
+      r.time = queue.now();
       r.a = q.id;
       r.b = failing;
       r.site = obs::kNoSite;
@@ -920,7 +1132,7 @@ OnlineResult run_online_closure(const Instance& inst, const OnlineConfig& cfg,
       rec->append(r);
     };
 
-    if (!faults.site_up(q.home)) {  // nowhere to aggregate
+    if (!faults.site_up(q.home)) {
       audit_abort(0, obs::AuditReason::kNoDeadlineFeasibleSite);
       if (rec_on) record_reject(0, obs::AuditReason::kNoDeadlineFeasibleSite);
       return false;
@@ -928,28 +1140,8 @@ OnlineResult run_online_closure(const Instance& inst, const OnlineConfig& cfg,
     for (const DatasetDemand& dd : q.demands) {
       const double need = resource_demand(inst, q, dd);
       Decision best;
-      double best_fill = 0.0;
-      for (const Site& s : inst.sites()) {
-        if (!faults.site_up(s.id)) continue;
-        const bool replica_here = has_replica(dd.dataset, s.id);
-        if (!replica_here) {
-          if (!cfg.reactive_replicas) continue;
-          const std::size_t count = res.replica_sites[dd.dataset].size() +
-                                    tentative_replicas[dd.dataset];
-          if (count >= inst.max_replicas()) continue;
-        }
-        if (!faults.deadline_ok(q, dd, s.id)) continue;
-        const double eff = faults.available(s.id);
-        const double load = sites[s.id].in_use + tentative[s.id];
-        if (load + need > eff + 1e-9) continue;
-        // Same scarcity rule as the offline pricer: least relative fill.
-        const double fill = eff > 0.0 ? (load + need) / eff : 1e18;
-        if (best.site == kInvalidSite || fill < best_fill) {
-          best.site = s.id;
-          best.new_replica = !replica_here;
-          best_fill = fill;
-        }
-      }
+      best.site =
+          select_site(q, dd, need, /*use_tentative=*/true, &best.new_replica);
       if (best.site == kInvalidSite) {
         const obs::AuditReason why = classify_rejection(dd);
         audit_abort(static_cast<std::uint32_t>(decisions.size()), why);
@@ -963,27 +1155,30 @@ OnlineResult run_online_closure(const Instance& inst, const OnlineConfig& cfg,
       best.proc = ds.volume * inst.site(best.site).proc_delay;
       best.total_delay = faults.evaluation_delay(inst.query(q.id), dd,
                                                  best.site);
+      if (tentative[best.site] == 0.0) tentative_dirty.push_back(best.site);
       tentative[best.site] += need;
-      if (best.new_replica) ++tentative_replicas[dd.dataset];
+      if (best.new_replica) {
+        if (tentative_replicas[dd.dataset] == 0) {
+          tentative_rep_dirty.push_back(dd.dataset);
+        }
+        ++tentative_replicas[dd.dataset];
+      }
       decisions.push_back(best);
     }
-    // Commit.
     double response = 0.0;
     if (trace_on) {
       query_span[q.id] = spans.size();
-      spans.push_back({"online.query", query_span_id(q.id), eq.now(),
-                       eq.now()});
+      spans.push_back({"online.query", query_span_id(q.id), queue.now(),
+                       queue.now()});
     }
     for (std::size_t i = 0; i < q.demands.size(); ++i) {
       const Decision& d = decisions[i];
       const DatasetId n = q.demands[i].dataset;
-      if (d.new_replica && !has_replica(n, d.site)) {
-        res.replica_sites[n].push_back(d.site);
-      }
+      if (d.new_replica && !has_replica(n, d.site)) add_replica(n, d.site);
       launch_flight(q.id, static_cast<std::uint32_t>(i), d.site, d.need,
                     d.proc, d.total_delay);
       demand_ends[layout.at(q.id, static_cast<std::uint32_t>(i))] = {
-          d.site, eq.now() + d.total_delay};
+          d.site, queue.now() + d.total_delay};
       response = std::max(response, d.total_delay);
       if (rec_on) {
         record_flight(obs::RecordKind::kTransferStart, q.id,
@@ -994,7 +1189,7 @@ OnlineResult run_online_closure(const Instance& inst, const OnlineConfig& cfg,
                      d.total_delay);
       if (wd != nullptr) {
         const double eff = faults.available(d.site);
-        wd->on_site_util(eq.now(), d.site,
+        wd->on_site_util(queue.now(), d.site,
                          eff > 0.0 ? sites[d.site].in_use / eff : 1.0);
       }
       if (audit_on) {
@@ -1010,9 +1205,9 @@ OnlineResult run_online_closure(const Instance& inst, const OnlineConfig& cfg,
       }
     }
     track_peak();
-    outcome.completion_time = eq.now() + response;
+    outcome.completion_time = queue.now() + response;
     if (wd != nullptr) {
-      wd->on_completion(eq.now(), q.deadline - response, false);
+      wd->on_completion(queue.now(), q.deadline - response, false);
     }
     if (flow_on) flow_predicted[q.id] = outcome.completion_time;
     if (trace_on && query_span[q.id] != kNoSpan) {
@@ -1021,105 +1216,172 @@ OnlineResult run_online_closure(const Instance& inst, const OnlineConfig& cfg,
     return true;
   };
 
-  // Fault events first: at equal times a fault resolves before an arrival
-  // (FIFO tie-break on insertion order).
-  for (const FaultEvent& e : cfg.faults.events) {
-    eq.schedule_at(e.time, [&, e] {
-      faults.apply(e);
-      ++res.fault_events_applied;
-      if (rec_on) {
-        obs::JournalRecord r;
-        r.time = eq.now();
-        r.v0 = e.fraction;
-        r.a = static_cast<std::uint32_t>(e.edge);
-        r.site = static_cast<std::uint32_t>(e.site);
-        r.kind = static_cast<std::uint8_t>(obs::RecordKind::kFaultApply);
-        r.arg = static_cast<std::uint8_t>(e.kind);
-        rec->append(r);
-      }
-      switch (e.kind) {
-        case FaultKind::kSiteDown:
-          on_site_down(e.site);
-          break;
-        case FaultKind::kCapacityLoss:
-          update_flow_links(e.site);
-          on_capacity_loss(e.site);
-          break;
-        case FaultKind::kCapacityRestore:
-          update_flow_links(e.site);
-          break;
-        default:
-          break;  // recoveries and link events shape future decisions only
-      }
-      if (metrics_on) {
-        static obs::Counter& fault_events = obs::metrics().counter(
-            "edgerep_online_fault_events_total",
-            "fault-trace events applied by the online simulator");
-        fault_events.inc();
-      }
-      push_status(false);
-    });
-  }
-
-  // Arrival schedule (instance order), drained from the shared stream up
-  // front — the closure engine needs every event in the heap before run().
-  // Outcomes are pre-sized so the events can safely index into the vector.
+  // --- seed the event streams --------------------------------------------
   res.outcomes.resize(inst.queries().size());
+  const std::size_t num_faults = cfg.faults.events.size();
+  std::size_t next_fault = 0;
+  if (next_fault < num_faults) {
+    queue.push(SimEvent{cfg.faults.events[0].time,
+                        evseq::make(evseq::kFaultBand, 0),
+                        0, 0, 0.0, EvKind::kFaultApply});
+  }
   OnlineArrivalStream arrivals(inst.queries().size(), cfg.arrivals,
                                cfg.arrival_rate, cfg.seed,
                                cfg.wave_amplitude, cfg.wave_period);
-  double when = 0.0;
-  QueryId m = 0;
-  while (arrivals.next(&when, &m)) {
+  auto push_next_arrival = [&] {
+    double when = 0.0;
+    QueryId m = 0;
+    if (!arrivals.next(&when, &m)) return;
     res.outcomes[m] = OnlineOutcome{m, when, false, 0.0, false};
-    eq.schedule_at(when, [&, m] {
-      ++arrivals_seen;
-      if (rec_on) {
-        const Query& q = inst.query(m);
-        obs::JournalRecord r;
-        r.time = eq.now();
-        r.v0 = q.deadline;
-        r.a = m;
-        r.b = static_cast<std::uint32_t>(q.demands.size());
-        r.site = obs::kNoSite;
-        r.kind = static_cast<std::uint8_t>(obs::RecordKind::kArrival);
-        rec->append(r);
-      }
-      if (wd != nullptr) {
-        const Query& q = inst.query(m);
-        wd->on_arrival(eq.now(), 0);
-        for (const DatasetDemand& dd : q.demands) {
-          wd->on_demand(eq.now(), dd.dataset);
-        }
-      }
-      const bool ok = admit(inst.query(m), res.outcomes[m]);
-      res.outcomes[m].admitted = ok;
-      if (ok) {
-        ++res.admitted_queries;  // provisional; faults may revoke below
-      } else {
-        ++rejected_queries;
-      }
-      if (c_arrivals != nullptr) {
-        c_arrivals->inc();
-        (ok ? c_admitted : c_rejected)->inc();
-      }
-      push_status(false);
-    });
-  }
-  // The arrival loop above keeps a provisional admitted count so the status
-  // board can show it live; recompute exactly below once faults settle.
-  res.kernel_stats.events_processed = eq.run();
-  res.kernel_stats.peak_pending_events = eq.peak_pending();
-  res.kernel_stats.peak_event_bytes =
-      eq.peak_pending() * (sizeof(double) + sizeof(std::uint64_t) +
-                           sizeof(std::function<void()>));
-  res.kernel_stats.flight_bytes = flights.capacity() * sizeof(Inflight);
+    queue.push(SimEvent{when, evseq::make(evseq::kArrivalBand, m), m, 0, 0.0,
+                        EvKind::kArrival});
+  };
+  push_next_arrival();
+  if (board != nullptr) queue.push_status(0.0);
 
-  online_detail::finalize_online_result(inst, layout, demand_ends, &res);
-  if (flow_on) online_detail::finalize_flow_gap(inst, flow_predicted, &res);
+  // --- the run loop: one switch, no captures -----------------------------
+  SimEvent ev;
+  while (queue.pop(&ev)) {
+    switch (ev.kind) {
+      case EvKind::kArrival: {
+        const QueryId m = ev.a;
+        push_next_arrival();  // keep exactly one pending arrival in the heap
+        ++arrivals_seen;
+        if (rec_on) {
+          const Query& q = inst.query(m);
+          obs::JournalRecord r;
+          r.time = queue.now();
+          r.v0 = q.deadline;
+          r.a = m;
+          r.b = static_cast<std::uint32_t>(q.demands.size());
+          r.site = obs::kNoSite;
+          r.kind = static_cast<std::uint8_t>(obs::RecordKind::kArrival);
+          rec->append(r);
+        }
+        if (wd != nullptr) {
+          const Query& q = inst.query(m);
+          wd->on_arrival(queue.now(), 0);
+          for (const DatasetDemand& dd : q.demands) {
+            wd->on_demand(queue.now(), dd.dataset);
+          }
+        }
+        const bool ok = admit(inst.query(m), res.outcomes[m]);
+        res.outcomes[m].admitted = ok;
+        if (ok) {
+          ++res.admitted_queries;  // provisional; exact recount in finalize
+        } else {
+          ++rejected_queries;
+        }
+        if (c_arrivals != nullptr) {
+          c_arrivals->inc();
+          (ok ? c_admitted : c_rejected)->inc();
+        }
+        push_status(false);
+        break;
+      }
+      case EvKind::kComputeDone: {
+        Flight* f = slab.get(FlightHandle{ev.a, ev.b});
+        if (f == nullptr) break;  // killed or relocated; stale by generation
+        if (rec_on) {
+          obs::JournalRecord r;
+          r.time = queue.now();
+          r.a = f->query;
+          r.site = f->site;
+          r.kind = static_cast<std::uint8_t>(obs::RecordKind::kComputeDone);
+          r.arg = static_cast<std::uint8_t>(f->demand);
+          rec->append(r);
+        }
+        sites[f->site].in_use -= f->need;
+        --inflight_count;
+        in_use_total -= f->need;
+        --site_live[f->site];
+        if (wd != nullptr) {
+          const double eff = faults.available(f->site);
+          wd->on_site_util(queue.now(), f->site,
+                           eff > 0.0 ? sites[f->site].in_use / eff : 1.0);
+        }
+        slab.destroy(FlightHandle{ev.a, ev.b});
+        push_status(false);
+        break;
+      }
+      case EvKind::kFaultApply: {
+        const FaultEvent& e = cfg.faults.events[next_fault];
+        ++next_fault;
+        if (next_fault < num_faults) {
+          queue.push(SimEvent{cfg.faults.events[next_fault].time,
+                              evseq::make(evseq::kFaultBand, next_fault),
+                              0, 0, 0.0, EvKind::kFaultApply});
+        }
+        faults.apply(e);
+        ++res.fault_events_applied;
+        if (rec_on) {
+          obs::JournalRecord r;
+          r.time = queue.now();
+          r.v0 = e.fraction;
+          r.a = static_cast<std::uint32_t>(e.edge);
+          r.site = static_cast<std::uint32_t>(e.site);
+          r.kind = static_cast<std::uint8_t>(obs::RecordKind::kFaultApply);
+          r.arg = static_cast<std::uint8_t>(e.kind);
+          rec->append(r);
+        }
+        switch (e.kind) {
+          case FaultKind::kSiteDown:
+            on_site_down(e.site);
+            break;
+          case FaultKind::kCapacityLoss:
+            update_flow_links(e.site);
+            on_capacity_loss(e.site);
+            break;
+          case FaultKind::kCapacityRestore:
+            update_flow_links(e.site);
+            break;
+          default:
+            break;
+        }
+        if (metrics_on) {
+          static obs::Counter& fault_events = obs::metrics().counter(
+              "edgerep_online_fault_events_total",
+              "fault-trace events applied by the online simulator");
+          fault_events.inc();
+        }
+        push_status(false);
+        break;
+      }
+      case EvKind::kRelocate:
+        // Normally drained inside the fault handlers above; reaching here
+        // only means a handler returned with the ring non-empty.
+        handle_relocate(ev);
+        break;
+      case EvKind::kStatusTick: {
+        if (board != nullptr && board->due(2'000'000)) publish_board(false);
+        if (arrivals_seen < inst.queries().size() || inflight_count > 0 ||
+            (flow_on && flow->active_flows() > 0)) {
+          queue.push_status(queue.now() + kStatusTickGap);
+        }
+        break;
+      }
+      case EvKind::kTransferDone: {
+        if (!flow_on) break;  // table runs never schedule these
+        const std::uint32_t tag = flow->handle_event(ev);
+        if (tag != FlowEngine::kNoFlow) {
+          deliver_transfer(static_cast<std::size_t>(tag), queue.now());
+        }
+        break;
+      }
+    }
+  }
+
+  res.kernel_stats.events_processed = queue.events_popped();
+  res.kernel_stats.peak_pending_events = queue.peak_pending();
+  res.kernel_stats.peak_event_bytes = queue.peak_bytes();
+  res.kernel_stats.peak_flights = slab.peak_live();
+  res.kernel_stats.flight_bytes = slab.capacity_bytes();
+
+  finalize_online_result(inst, layout, demand_ends, &res);
+  if (flow_on) finalize_flow_gap(inst, flow_predicted, &res);
   if (wd != nullptr) res.watchdog = wd->stats();
 
-  if (trace_on) online_detail::emit_online_spans(spans, instants);
+  if (trace_on) emit_online_spans(spans, instants);
   if (audit_on) {
     obs::audit_log().record_batch(audit_entries);
   }
@@ -1131,31 +1393,6 @@ OnlineResult run_online_closure(const Instance& inst, const OnlineConfig& cfg,
   }
   push_status(true);
   return res;
-}
-
-}  // namespace
-
-OnlineResult run_online(const Instance& inst, const OnlineConfig& cfg,
-                        const ReplicaPlan* proactive) {
-  if (!inst.finalized()) {
-    throw std::invalid_argument("run_online: instance not finalized");
-  }
-  if (cfg.arrival_rate <= 0.0) {
-    throw std::invalid_argument("run_online: arrival rate must be positive");
-  }
-  if (!(cfg.oversubscription >= 0.0) ||
-      !std::isfinite(cfg.oversubscription)) {
-    throw std::invalid_argument(
-        "run_online: oversubscription must be finite and >= 0");
-  }
-  if (proactive != nullptr && &proactive->instance() != &inst) {
-    throw std::invalid_argument("run_online: proactive plan is for a "
-                                "different instance");
-  }
-  validate_fault_trace(inst, cfg.faults);
-  return cfg.kernel == OnlineKernel::kTyped
-             ? run_online_typed(inst, cfg, proactive)
-             : run_online_closure(inst, cfg, proactive);
 }
 
 namespace {

@@ -97,14 +97,6 @@ class OnlineStatusBoard {
   std::atomic<std::uint64_t> last_pub_ns_{0};
 };
 
-/// Which discrete-event core executes the run.  `kTyped` is the production
-/// path: POD events in a 4-ary (time, seq) heap with lazily streamed
-/// arrivals and a slab flight registry (sim/event_kernel.h).  `kClosure` is
-/// the original std::function engine, kept as the bit-identity oracle —
-/// fixed (instance, config, faults) produce bit-identical OnlineResult on
-/// both kernels (pinned by tests/sim/online_equivalence_test.cpp).
-enum class OnlineKernel : std::uint8_t { kTyped, kClosure };
-
 /// Transfer backend.  `kTable` prices and *simulates* transfers with the
 /// static per-site delay table — a thousand simultaneous transfers through
 /// one WMAN link are free.  `kFlow` keeps admission pricing on the table
@@ -112,16 +104,16 @@ enum class OnlineKernel : std::uint8_t { kTyped, kClosure };
 /// through the FlowEngine's max-min fair bandwidth sharing: completions
 /// stretch under contention, and the run reports the predicted-vs-actual
 /// SLO gap.  With `oversubscription == 0` (infinite link capacities) the
-/// flow backend is bit-identical to the table backend on both kernels —
-/// the correctness oracle pinned by tests/sim/online_flow_test.cpp.
+/// flow backend is bit-identical to the table backend — the correctness
+/// oracle pinned by tests/sim/online_flow_test.cpp.
 enum class OnlineNetwork : std::uint8_t { kTable, kFlow };
 
 /// Predicted-vs-actual deadline accounting of the flow backend (zeroed on
 /// table runs).  "Predicted" is the admission-time completion priced from
 /// the delay table; "actual" is the flow-simulated completion under
 /// contention.  Excluded from online_result_hash (like kernel_stats): the
-/// gap is diagnostic, not part of the cross-kernel equivalence contract —
-/// but it IS deterministic and bit-identical across kernels.
+/// gap is diagnostic — but it IS deterministic, and tests/golden/ pins it
+/// beside the hash where a case depends on it.
 struct FlowGapStats {
   std::size_t flows_routed = 0;       ///< transfers replayed as flows
   std::size_t rate_changes = 0;       ///< max-min re-fill rate transitions
@@ -133,14 +125,12 @@ struct FlowGapStats {
   double mean_stretch = 0.0;          ///< mean (actual − predicted), seconds
 };
 
-/// Executive accounting of one run's event core (not part of the
-/// equivalence contract; excluded from online_result_hash).
+/// Executive accounting of one run's event core (excluded from
+/// online_result_hash).
 struct OnlineKernelStats {
-  OnlineKernel kernel = OnlineKernel::kTyped;
   std::size_t events_processed = 0;
-  /// High-water of simultaneously pending events.  O(inflight) on the
-  /// typed kernel; O(queries + faults) on the closure kernel, which
-  /// pre-schedules the whole horizon.
+  /// High-water of simultaneously pending events: O(inflight), because
+  /// arrivals and faults stream lazily.
   std::size_t peak_pending_events = 0;
   std::size_t peak_event_bytes = 0;  ///< event-storage high-water, bytes
   std::size_t peak_flights = 0;      ///< max concurrently live flights
@@ -182,9 +172,6 @@ struct OnlineConfig {
   /// are bit-identical with or without a board (pinned by
   /// tests/integration/obs_equivalence_test.cpp).
   OnlineStatusBoard* status_board = nullptr;
-
-  /// Event core selection; results are bit-identical across kernels.
-  OnlineKernel kernel = OnlineKernel::kTyped;
 
   /// Transfer backend: admission always prices with the delay table; kFlow
   /// additionally verifies completions under max-min fair link sharing.
@@ -257,17 +244,15 @@ struct OnlineResult {
   SloRollup slo;
 
   /// Predicted-vs-actual gap of the flow backend (zeroed on table runs;
-  /// excluded from online_result_hash, bit-identical across kernels).
+  /// excluded from online_result_hash).
   FlowGapStats flow_gap;
 
   /// Watchdog alert rollup (zeroed unless the watchdog facet was on;
   /// excluded from online_result_hash like the other diagnostic blocks,
-  /// but deterministic and bit-identical across kernels — pinned by
-  /// tests/obs/watchdog_test.cpp).
+  /// but deterministic — pinned by tests/obs/watchdog_test.cpp).
   obs::WatchdogStats watchdog;
 
-  /// Event-core accounting (differs across kernels by design; excluded
-  /// from the equivalence contract and from online_result_hash).
+  /// Event-core accounting (excluded from online_result_hash).
   OnlineKernelStats kernel_stats;
 };
 
@@ -282,8 +267,8 @@ OnlineResult run_online(const Instance& inst, const OnlineConfig& cfg = {},
 /// FNV-1a fingerprint over every contract field of the result (outcomes,
 /// aggregates, replica placement, fault accounting, SLO rollup — raw double
 /// bits, no rounding).  Two runs agree on the hash iff they agree bitwise;
-/// kernel_stats is excluded.  Used by the cross-kernel CI smoke and the
-/// equivalence suite.
+/// kernel_stats is excluded.  tests/golden/online_hashes.txt pins it for
+/// the test suites and the CI smokes.
 [[nodiscard]] std::uint64_t online_result_hash(const OnlineResult& res);
 
 }  // namespace edgerep

@@ -1,7 +1,9 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -12,7 +14,7 @@
 #include "net/shortest_path.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sim/event.h"
+#include "sim/event_kernel.h"
 #include "sim/flows.h"
 #include "util/rng.h"
 
@@ -23,14 +25,21 @@ namespace {
 constexpr double kGhzEps = 1e-9;
 constexpr double kWorkEps = 1e-12;
 
+// simulate() runs on the typed event core.  Every event is scheduled with
+// push_dynamic, so simultaneous events run in scheduling order.  Payloads:
+//   kArrival       a = task: submit it to its evaluation site
+//   kComputeDone   reservation: a = task whose processing ended;
+//                  processor sharing: a = site, b = wake token
+//   kTransferDone  delay model: a = query whose result arrived;
+//                  max-min model: a FlowEngine completion
+
 struct Task {
   QueryId query = 0;
-  std::uint32_t demand_index = 0;
   double ghz = 0.0;       ///< resource demand (exclusive in reservation mode)
   double duration = 0.0;  ///< nominal processing time at full speed
   double transfer = 0.0;  ///< result transfer delay (store-and-forward model)
   double transfer_size = 0.0;       ///< α·|S_n| GB (flow model)
-  SiteId eval_site = kInvalidSite;  ///< where processing happened
+  SiteId eval_site = kInvalidSite;  ///< where processing happens
 };
 
 struct QueryState {
@@ -42,40 +51,41 @@ struct QueryState {
 };
 
 /// Shared glue: when a task's processing ends, ship the intermediate
-/// result and complete the query when it was the last one.
+/// result and complete the query when it was the last one.  With a flow
+/// engine, transfers route as flows along `paths` instead of fixed delays.
 class ResultCollector {
  public:
   using PathLookup = std::function<std::vector<EdgeId>(SiteId, QueryId)>;
 
-  ResultCollector(EventQueue& eq, std::vector<QueryState>& queries)
-      : eq_(&eq), queries_(&queries) {}
-
-  /// Route transfers through a flow engine instead of fixed delays.
-  void use_flows(FlowEngine* flows, PathLookup paths) {
-    flows_ = flows;
-    paths_ = std::move(paths);
-  }
+  ResultCollector(TypedEventQueue& q, std::vector<QueryState>& queries,
+                  FlowEngine* flows, PathLookup paths)
+      : q_(&q), queries_(&queries), flows_(flows), paths_(std::move(paths)) {}
 
   void task_processed(const Task& t) {
-    auto deliver = [this, query = t.query] {
-      QueryState& qs = (*queries_)[query];
-      if (--qs.remaining_results == 0) {
-        qs.completion_time = eq_->now();
-        qs.completed = true;
-      }
-    };
     if (flows_ != nullptr) {
       flows_->start_flow(t.transfer_size, paths_(t.eval_site, t.query),
-                         std::move(deliver));
+                         t.query);
     } else {
-      eq_->schedule_in(t.transfer, std::move(deliver));
+      q_->push_dynamic(EvKind::kTransferDone, q_->now() + t.transfer,
+                       t.query, 0);
+    }
+  }
+
+  void on_transfer_done(const SimEvent& ev) {
+    const std::uint32_t query =
+        flows_ != nullptr ? flows_->handle_event(ev) : ev.a;
+    if (query == FlowEngine::kNoFlow) return;  // superseded prediction
+    QueryState& qs = (*queries_)[query];
+    if (--qs.remaining_results == 0) {
+      qs.completion_time = q_->now();
+      qs.completed = true;
     }
   }
 
  private:
-  EventQueue* eq_;
+  TypedEventQueue* q_;
   std::vector<QueryState>* queries_;
-  FlowEngine* flows_ = nullptr;
+  FlowEngine* flows_;
   PathLookup paths_;
 };
 
@@ -83,62 +93,79 @@ class ResultCollector {
 /// running task holds its GHz exclusively.
 class ReservationEngine {
  public:
-  ReservationEngine(EventQueue& eq, ResultCollector& results,
+  ReservationEngine(TypedEventQueue& q, ResultCollector& results,
+                    const std::vector<Task>& tasks,
                     std::vector<double> capacity)
-      : eq_(&eq), results_(&results), free_(std::move(capacity)),
-        waiting_(free_.size()) {}
+      : q_(&q), results_(&results), tasks_(&tasks),
+        free_(std::move(capacity)), waiting_(free_.size()) {}
 
-  void submit(SiteId l, const Task& t) {
-    waiting_[l].push_back(t);
+  void submit(std::uint32_t task) {
+    const SiteId l = (*tasks_)[task].eval_site;
+    waiting_[l].push_back(task);
     try_start(l);
+  }
+
+  void on_finish(std::uint32_t task) {
+    const Task& t = (*tasks_)[task];
+    free_[t.eval_site] += t.ghz;
+    try_start(t.eval_site);
+    results_->task_processed(t);
   }
 
  private:
   void try_start(SiteId l) {
     while (!waiting_[l].empty() &&
-           waiting_[l].front().ghz <= free_[l] + kGhzEps) {
-      const Task t = waiting_[l].front();
+           (*tasks_)[waiting_[l].front()].ghz <= free_[l] + kGhzEps) {
+      const std::uint32_t task = waiting_[l].front();
       waiting_[l].pop_front();
+      const Task& t = (*tasks_)[task];
       free_[l] -= t.ghz;
-      eq_->schedule_in(t.duration, [this, l, t] {
-        free_[l] += t.ghz;
-        try_start(l);
-        results_->task_processed(t);
-      });
+      q_->push_dynamic(EvKind::kComputeDone, q_->now() + t.duration, task, 0);
     }
   }
 
-  EventQueue* eq_;
+  TypedEventQueue* q_;
   ResultCollector* results_;
+  const std::vector<Task>* tasks_;
   std::vector<double> free_;
-  std::vector<std::deque<Task>> waiting_;
+  std::vector<std::deque<std::uint32_t>> waiting_;
 };
 
 /// Processor-sharing discipline: every task runs immediately; when demand
 /// exceeds capacity all of a site's tasks progress at the common rate
-/// capacity / Σ ghz.  Finish events carry a generation token so stale
+/// capacity / Σ ghz.  Wake events carry a generation token so stale
 /// predictions are ignored after arrivals change the rate.
 class ProcessorSharingEngine {
  public:
-  ProcessorSharingEngine(EventQueue& eq, ResultCollector& results,
+  ProcessorSharingEngine(TypedEventQueue& q, ResultCollector& results,
+                         const std::vector<Task>& tasks,
                          std::vector<double> capacity)
-      : eq_(&eq), results_(&results), sites_(capacity.size()) {
+      : q_(&q), results_(&results), tasks_(&tasks), sites_(capacity.size()) {
     for (std::size_t l = 0; l < capacity.size(); ++l) {
       sites_[l].capacity = capacity[l];
     }
   }
 
-  void submit(SiteId l, const Task& t) {
-    SiteState& st = sites_[l];
+  void submit(std::uint32_t task) {
+    const Task& t = (*tasks_)[task];
+    SiteState& st = sites_[t.eval_site];
     advance(st);
-    st.tasks.push_back(Running{t, std::max(t.duration, 0.0)});
+    st.tasks.push_back(Running{task, std::max(t.duration, 0.0)});
+    drain_finished(t.eval_site);
+    reschedule(t.eval_site);
+  }
+
+  void on_wake(SiteId l, std::uint32_t token) {
+    SiteState& site = sites_[l];
+    if (site.gen != token) return;  // superseded by a later arrival
+    advance(site);
     drain_finished(l);
     reschedule(l);
   }
 
  private:
   struct Running {
-    Task task;
+    std::uint32_t task = 0;
     double remaining = 0.0;  ///< nominal seconds left at full speed
   };
   struct SiteState {
@@ -146,19 +173,19 @@ class ProcessorSharingEngine {
     std::vector<Running> tasks;
     double last_update = 0.0;
     double speed = 1.0;  ///< progress rate since last_update
-    std::uint64_t gen = 0;
+    std::uint32_t gen = 0;
   };
 
   double current_speed(const SiteState& st) const {
     double demand = 0.0;
-    for (const Running& r : st.tasks) demand += r.task.ghz;
+    for (const Running& r : st.tasks) demand += (*tasks_)[r.task].ghz;
     if (demand <= st.capacity + kGhzEps || demand <= 0.0) return 1.0;
     return st.capacity / demand;
   }
 
   /// Progress all running tasks up to now at the previously cached speed.
   void advance(SiteState& st) {
-    const double now = eq_->now();
+    const double now = q_->now();
     const double dt = now - st.last_update;
     if (dt > 0.0) {
       for (Running& r : st.tasks) r.remaining -= dt * st.speed;
@@ -170,7 +197,7 @@ class ProcessorSharingEngine {
     SiteState& st = sites_[l];
     for (std::size_t i = 0; i < st.tasks.size();) {
       if (st.tasks[i].remaining <= kWorkEps) {
-        results_->task_processed(st.tasks[i].task);
+        results_->task_processed((*tasks_)[st.tasks[i].task]);
         st.tasks.erase(st.tasks.begin() + static_cast<std::ptrdiff_t>(i));
       } else {
         ++i;
@@ -181,7 +208,7 @@ class ProcessorSharingEngine {
   void reschedule(SiteId l) {
     SiteState& st = sites_[l];
     st.speed = current_speed(st);
-    const std::uint64_t token = ++st.gen;
+    const std::uint32_t token = ++st.gen;
     if (st.tasks.empty()) return;
     if (st.speed <= 0.0) return;  // zero capacity: tasks are starved forever
     double min_remaining = st.tasks[0].remaining;
@@ -189,17 +216,12 @@ class ProcessorSharingEngine {
       min_remaining = std::min(min_remaining, r.remaining);
     }
     const double eta = std::max(min_remaining, 0.0) / st.speed;
-    eq_->schedule_in(eta, [this, l, token] {
-      SiteState& site = sites_[l];
-      if (site.gen != token) return;  // superseded by a later arrival
-      advance(site);
-      drain_finished(l);
-      reschedule(l);
-    });
+    q_->push_dynamic(EvKind::kComputeDone, q_->now() + eta, l, token);
   }
 
-  EventQueue* eq_;
+  TypedEventQueue* q_;
   ResultCollector* results_;
+  const std::vector<Task>* tasks_;
   std::vector<SiteState> sites_;
 };
 
@@ -208,7 +230,7 @@ class ProcessorSharingEngine {
 SimReport simulate(const ReplicaPlan& plan, const SimConfig& cfg) {
   EDGEREP_TRACE_SCOPE("sim.simulate");
   const Instance& inst = plan.instance();
-  EventQueue eq;
+  TypedEventQueue queue;
   Rng rng(cfg.seed);
 
   std::vector<double> capacity(inst.sites().size(), 0.0);
@@ -216,9 +238,8 @@ SimReport simulate(const ReplicaPlan& plan, const SimConfig& cfg) {
     capacity[s.id] = cfg.capacity_factor * s.available;
   }
   std::vector<QueryState> queries(inst.queries().size());
-  ResultCollector results(eq, queries);
+  std::vector<Task> tasks;
   std::unique_ptr<FlowEngine> flows;
-  std::map<SiteId, ShortestPathTree> trees;  // per evaluation site, lazy
   if (cfg.transfers == SimConfig::TransferModel::kMaxMinFair) {
     std::vector<double> bandwidth;
     bandwidth.reserve(inst.graph().num_edges());
@@ -227,28 +248,23 @@ SimReport simulate(const ReplicaPlan& plan, const SimConfig& cfg) {
       // effectively infinite.
       bandwidth.push_back(e.delay > 0.0 ? 1.0 / e.delay : 1e9);
     }
-    flows = std::make_unique<FlowEngine>(eq, std::move(bandwidth));
-    results.use_flows(
-        flows.get(), [&inst, &trees](SiteId from, QueryId m) {
-          auto it = trees.find(from);
-          if (it == trees.end()) {
-            it = trees.emplace(from,
-                               dijkstra(inst.graph(), inst.site(from).node))
-                     .first;
-          }
-          const NodeId home = inst.site(inst.query(m).home).node;
-          return path_edges(inst.graph(), it->second.path_to(home));
-        });
+    flows = std::make_unique<FlowEngine>(queue, std::move(bandwidth));
   }
-  ReservationEngine reservation(eq, results, capacity);
-  ProcessorSharingEngine sharing(eq, results, capacity);
-  auto submit = [&](SiteId l, const Task& t) {
-    if (cfg.discipline == SimConfig::Discipline::kProcessorSharing) {
-      sharing.submit(l, t);
-    } else {
-      reservation.submit(l, t);
-    }
-  };
+  std::map<SiteId, ShortestPathTree> trees;  // per evaluation site, lazy
+  ResultCollector results(
+      queue, queries, flows.get(), [&inst, &trees](SiteId from, QueryId m) {
+        auto it = trees.find(from);
+        if (it == trees.end()) {
+          it = trees.emplace(from, dijkstra(inst.graph(), inst.site(from).node))
+                   .first;
+        }
+        const NodeId home = inst.site(inst.query(m).home).node;
+        return path_edges(inst.graph(), it->second.path_to(home));
+      });
+  const bool sharing =
+      cfg.discipline == SimConfig::Discipline::kProcessorSharing;
+  ReservationEngine reservation(queue, results, tasks, capacity);
+  ProcessorSharingEngine processor_sharing(queue, results, tasks, capacity);
 
   // Issue times.
   double clock = 0.0;
@@ -280,26 +296,51 @@ SimReport simulate(const ReplicaPlan& plan, const SimConfig& cfg) {
     if (!all_assigned) continue;
     qs.fully_served = true;
     qs.remaining_results = q.demands.size();
-    for (std::uint32_t i = 0; i < q.demands.size(); ++i) {
-      const DatasetDemand& dd = q.demands[i];
+    for (const DatasetDemand& dd : q.demands) {
       const SiteId l = *plan.assignment(q.id, dd.dataset);
       const Dataset& ds = inst.dataset(dd.dataset);
       Task t;
       t.query = q.id;
-      t.demand_index = i;
       t.ghz = resource_demand(inst, q, dd);
       t.duration = ds.volume * inst.site(l).proc_delay;
       t.transfer = dd.selectivity * ds.volume * inst.path_delay(l, q.home);
       t.transfer_size = dd.selectivity * ds.volume;
       t.eval_site = l;
-      eq.schedule_at(qs.issue_time, [&submit, l, t] { submit(l, t); });
+      queue.push_dynamic(EvKind::kArrival, qs.issue_time,
+                         static_cast<std::uint32_t>(tasks.size()), 0);
+      tasks.push_back(t);
     }
   }
 
+  // The run loop: one switch over the event kinds listed above.
   std::size_t executed = 0;
   {
     EDGEREP_TRACE_SCOPE("sim.run_events");
-    executed = eq.run(cfg.max_events);
+    SimEvent ev;
+    while (executed < cfg.max_events && queue.pop(&ev)) {
+      ++executed;
+      switch (ev.kind) {
+        case EvKind::kArrival:
+          if (sharing) {
+            processor_sharing.submit(ev.a);
+          } else {
+            reservation.submit(ev.a);
+          }
+          break;
+        case EvKind::kComputeDone:
+          if (sharing) {
+            processor_sharing.on_wake(ev.a, ev.b);
+          } else {
+            reservation.on_finish(ev.a);
+          }
+          break;
+        case EvKind::kTransferDone:
+          results.on_transfer_done(ev);
+          break;
+        default:
+          break;
+      }
+    }
   }
   if (executed >= cfg.max_events) {
     throw std::runtime_error("simulate: event budget exhausted (livelock?)");

@@ -20,21 +20,17 @@
 // full-recompute oracle, at the same three instance sizes
 // ([--repair-out=BENCH_repair.json] [--repair-reps=9]).
 //
-// BENCH_serve.json: telemetry serve-path overhead — the 100-site online
-// case timed with everything off vs metrics + status board + 100 ms
-// time-series sampler + live HTTP server, as median wall time of a
-// 20-run batch ([--serve-out=BENCH_serve.json] [--serve-reps=9]).
-//
-// BENCH_online.json: the typed event kernel vs the closure oracle at 10k
-// sites (run_ms, events/sec, cross-checked result hashes) plus the typed
-// kernel's 1M- and 10M-query horizon sweeps with peak event-heap sizes —
-// the O(inflight) memory evidence
+// BENCH_online.json: the event core at 10k sites (run_ms, events/sec)
+// plus 1M- and 10M-query horizon sweeps with peak event-heap sizes — the
+// O(inflight) memory evidence
 // ([--online-out=BENCH_online.json] [--online-reps=3]).
 //
-// BENCH_obs.json: flight-recorder overhead — the 100-site online case
-// timed with the recorder off vs a full-mode journal appended at every
-// causal step, as median wall time of a 20-run batch, plus the per-run
-// record count ([--obs-out=BENCH_obs.json] [--obs-reps=9]).
+// BENCH_obs.json: observability overhead on the 100-site online case, as
+// median wall time of a 20-run batch.  One interleaved loop times a plain
+// leg (everything off) against three legs: a full-mode journal appended at
+// every causal step (plus the per-run record count), the watchdog alone,
+// and the serving path — metrics + status board + 100 ms time-series
+// sampler + live HTTP server ([--obs-out=BENCH_obs.json] [--obs-reps=9]).
 //
 // BENCH_flows.json: the flow-level network backend — run_online with
 // --network=flow vs the delay table at 1k and 10k sites (median wall time,
@@ -45,7 +41,6 @@
 #include <chrono>
 #include <cstdint>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <iterator>
 #include <sstream>
@@ -174,7 +169,7 @@ int emit_appro(const std::string& out_path, int reps) {
         << static_cast<long long>(off_ns) << ", \"enabled_ns_per_query\": "
         << static_cast<long long>(on_ns) << ", \"overhead_pct\": "
         << round2((on_ns / off_ns - 1.0) * 100.0) << "},\n"
-        << "  \"counters\": ";
+        << "  \"metrics\": ";
     obs::metrics().write_json(out);
     out << "\n}\n";
     obs::tracer().clear();
@@ -366,7 +361,7 @@ int emit_repair(const std::string& out_path, int reps) {
 
 /// Wall time (ms) of `batch` back-to-back online runs.  Single runs finish
 /// in a couple of milliseconds — too close to timer noise to resolve a 2%
-/// overhead — so the serve-path comparison times batches.
+/// overhead — so the overhead comparisons time batches.
 double online_batch_ms(const Instance& inst, const OnlineConfig& cfg,
                        int batch) {
   const auto t0 = clock_type::now();
@@ -380,7 +375,7 @@ double online_batch_ms(const Instance& inst, const OnlineConfig& cfg,
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
 
-int emit_serve(const std::string& out_path, int reps) {
+int emit_obs(const std::string& out_path, int reps) {
   constexpr int kBatch = 20;
   const CaseSpec c = {"G", 100, 500, 5};
   WorkloadConfig cfg;
@@ -391,9 +386,10 @@ int emit_serve(const std::string& out_path, int reps) {
   cfg.max_datasets_per_query = c.f_max;
   const Instance inst = generate_instance(cfg, /*seed=*/42);
 
-  // Serve path under test: metrics + status board + sampler at the
-  // documented 100 ms interval + a live (unscraped) HTTP server — the
-  // `online --serve` setup.  The baseline has every facet off and no board.
+  // Serving-leg setup: metrics + status board + sampler at the documented
+  // 100 ms interval + a live (unscraped) HTTP server — the `online --serve`
+  // setup.  The sampler and server threads run through every leg, as they
+  // would in a serving process.
   OnlineStatusBoard board;
   obs::TimeSeriesSampler sampler;
   sampler.add_counter_series("edgerep_online_arrivals_total");
@@ -416,78 +412,24 @@ int emit_serve(const std::string& out_path, int reps) {
   serve_cfg.status_board = &board;
   sampler.start(100);
 
-  // Interleave plain and serving batches so slow machine drift (frequency
-  // scaling, background load) hits both sides equally instead of biasing
-  // whichever loop runs second.
-  std::vector<double> plain_samples, serve_samples;
-  plain_samples.reserve(static_cast<std::size_t>(reps));
-  serve_samples.reserve(static_cast<std::size_t>(reps));
-  for (int r = 0; r < reps; ++r) {
-    obs::set_all_enabled(false);
-    plain_samples.push_back(online_batch_ms(inst, {}, kBatch));
-    obs::set_metrics_enabled(true);
-    serve_samples.push_back(online_batch_ms(inst, serve_cfg, kBatch));
-  }
-  const double plain_ms = median(std::move(plain_samples));
-  const double serving_ms = median(std::move(serve_samples));
-  sampler.stop();
-  server.stop();
-  obs::set_all_enabled(false);
-
-  const double overhead_pct = (serving_ms / plain_ms - 1.0) * 100.0;
-
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "bench_json: cannot open " << out_path << "\n";
-    return 1;
-  }
-  out << "{\n"
-      << "  \"benchmark\": \"telemetry_serve_path\",\n"
-      << "  \"metric\": \"median_batch_ms\",\n"
-      << "  \"sample_interval_ms\": 100,\n"
-      << "  \"batch\": " << kBatch << ",\n"
-      << "  \"reps\": " << reps << ",\n"
-      << "  \"cases\": [\n"
-      << "    {\"case\": \"" << c.name << "\", \"network_size\": "
-      << c.network << ", \"queries\": " << c.queries
-      << ", \"plain_ms\": " << round2(plain_ms)
-      << ", \"serving_ms\": " << round2(serving_ms)
-      << ", \"overhead_pct\": " << round2(overhead_pct) << "}\n"
-      << "  ]\n}\n";
-
-  std::cerr << "serve path " << c.network << "x" << c.queries << " (batch "
-            << kBatch << "): plain " << plain_ms << " ms, serving "
-            << serving_ms << " ms (" << overhead_pct << "%)\n"
-            << "wrote " << out_path << "\n";
-  return 0;
-}
-
-int emit_obs(const std::string& out_path, int reps) {
-  constexpr int kBatch = 20;
-  const CaseSpec c = {"G", 100, 500, 5};
-  WorkloadConfig cfg;
-  cfg.network_size = c.network;
-  cfg.min_queries = c.queries;
-  cfg.max_queries = c.queries;
-  cfg.min_datasets_per_query = 1;
-  cfg.max_datasets_per_query = c.f_max;
-  const Instance inst = generate_instance(cfg, /*seed=*/42);
-
-  // Interleaved recorder-off / recorder-on batches (same drift argument as
-  // emit_serve).  This measures the steady-state serve path: one unscored
+  // Interleave the legs so slow machine drift (frequency scaling,
+  // background load) hits every leg equally instead of biasing whichever
+  // loop runs last.  This measures the steady-state path: one unscored
   // warm-up batch faults in the journal arena, and the per-rep clear()
   // keeps its capacity, so scored appends never pay geometric growth or
   // first-touch page faults — those are one-time costs of a long-running
-  // recorder, not recurring serve work.
+  // recorder, not recurring work.
   obs::set_all_enabled(false);
   obs::recorder().configure(obs::RecorderMode::kFull);
   obs::set_recorder_enabled(true);
   online_batch_ms(inst, {}, kBatch);  // warm-up: grows the arena once
   obs::set_recorder_enabled(false);
-  std::vector<double> plain_samples, record_samples, watchdog_samples;
+  std::vector<double> plain_samples, record_samples, watchdog_samples,
+      serve_samples;
   plain_samples.reserve(static_cast<std::size_t>(reps));
   record_samples.reserve(static_cast<std::size_t>(reps));
   watchdog_samples.reserve(static_cast<std::size_t>(reps));
+  serve_samples.reserve(static_cast<std::size_t>(reps));
   std::uint64_t batch_records = 0;
   std::size_t batch_alerts = 0;
   for (int r = 0; r < reps; ++r) {
@@ -505,14 +447,22 @@ int emit_obs(const std::string& out_path, int reps) {
     watchdog_samples.push_back(online_batch_ms(inst, {}, kBatch));
     batch_alerts = obs::watchdog().stats().opened;
     obs::set_watchdog_enabled(false);
+    // Fourth leg: the serving path (metrics on, status board attached).
+    obs::set_metrics_enabled(true);
+    serve_samples.push_back(online_batch_ms(inst, serve_cfg, kBatch));
+    obs::set_metrics_enabled(false);
   }
+  sampler.stop();
+  server.stop();
   obs::set_recorder_enabled(false);
   obs::recorder().configure(obs::RecorderMode::kFull);  // release the arena
   const double plain_ms = median(std::move(plain_samples));
   const double recording_ms = median(std::move(record_samples));
   const double watchdog_ms = median(std::move(watchdog_samples));
+  const double serving_ms = median(std::move(serve_samples));
   const double overhead_pct = (recording_ms / plain_ms - 1.0) * 100.0;
   const double watchdog_overhead_pct = (watchdog_ms / plain_ms - 1.0) * 100.0;
+  const double serve_overhead_pct = (serving_ms / plain_ms - 1.0) * 100.0;
   const std::uint64_t records_per_run =
       batch_records / static_cast<std::uint64_t>(kBatch);
 
@@ -536,7 +486,9 @@ int emit_obs(const std::string& out_path, int reps) {
       << ", \"records_per_run\": " << records_per_run
       << ", \"watchdog_ms\": " << round2(watchdog_ms)
       << ", \"watchdog_overhead_pct\": " << round2(watchdog_overhead_pct)
-      << ", \"alerts_per_run\": " << batch_alerts << "}\n"
+      << ", \"alerts_per_run\": " << batch_alerts
+      << ", \"serving_ms\": " << round2(serving_ms)
+      << ", \"serve_overhead_pct\": " << round2(serve_overhead_pct) << "}\n"
       << "  ]\n}\n";
 
   std::cerr << "flight recorder " << c.network << "x" << c.queries
@@ -545,7 +497,8 @@ int emit_obs(const std::string& out_path, int reps) {
             << overhead_pct << "%), " << records_per_run
             << " records/run; watchdog " << watchdog_ms << " ms ("
             << watchdog_overhead_pct << "%, " << batch_alerts
-            << " alerts/run)\n"
+            << " alerts/run); serving " << serving_ms << " ms ("
+            << serve_overhead_pct << "%)\n"
             << "wrote " << out_path << "\n";
   return 0;
 }
@@ -627,11 +580,8 @@ double timed_online_ms(const Instance& inst, const OnlineConfig& cfg,
 }
 
 int emit_online(const std::string& out_path, int reps) {
-  // Head-to-head at the 10k-site scale: the spec (closure) kernel pays one
-  // strided delay-table row per candidate site per admission; the typed
-  // kernel's candidate-ordered selection touches the table once per
-  // accepted candidate.  Hashes are cross-checked every rep — this bench
-  // doubles as a large-N equivalence smoke.
+  // The 10k-site case: admission scans dominate, so this times the
+  // candidate-ordered site selection as much as the event core.
   StreamWorkloadConfig wc10k;
   wc10k.sites = 10'000;
   wc10k.queries = 20'000;
@@ -640,32 +590,20 @@ int emit_online(const std::string& out_path, int reps) {
   OnlineConfig cfg;
   cfg.arrival_rate = 20.0;
 
-  std::vector<double> typed_ms_s, closure_ms_s;
-  OnlineResult typed_res, closure_res;
+  std::vector<double> typed_ms_s;
+  OnlineResult typed_res;
   for (int r = 0; r < reps; ++r) {
-    cfg.kernel = OnlineKernel::kTyped;
     typed_ms_s.push_back(timed_online_ms(inst10k, cfg, &typed_res));
-    cfg.kernel = OnlineKernel::kClosure;
-    closure_ms_s.push_back(timed_online_ms(inst10k, cfg, &closure_res));
-    if (online_result_hash(typed_res) != online_result_hash(closure_res)) {
-      std::cerr << "bench_json: kernel hash mismatch at 10k sites!\n";
-      return 1;
-    }
   }
   const double typed_ms = median(std::move(typed_ms_s));
-  const double closure_ms = median(std::move(closure_ms_s));
   const auto events_per_sec = [](const OnlineResult& r, double ms) {
     return static_cast<long long>(
         static_cast<double>(r.kernel_stats.events_processed) / (ms / 1000.0));
   };
-  const double speedup = closure_ms / typed_ms;
-  std::cerr << "online 10k sites x " << wc10k.queries << ": typed "
-            << typed_ms << " ms, closure " << closure_ms << " ms ("
-            << speedup << "x)\n";
+  std::cerr << "online 10k sites x " << wc10k.queries << ": " << typed_ms
+            << " ms\n";
 
-  // Memory-bound horizon sweep, typed kernel only (the closure oracle
-  // pre-schedules every arrival, so its heap is O(queries) by design —
-  // recorded once above via peak_pending_events).
+  // Memory-bound horizon sweeps: peak pending events stay O(inflight).
   struct SweepSpec {
     const char* name;
     std::size_t sites;
@@ -717,12 +655,6 @@ int emit_online(const std::string& out_path, int reps) {
       << "  \"metric\": \"median_run_ms\",\n"
       << "  \"reps\": " << reps << ",\n"
       << "  \"cases\": [\n"
-      << "    {\"case\": \"closure_10k\", \"sites\": " << wc10k.sites
-      << ", \"queries\": " << wc10k.queries
-      << ", \"run_ms\": " << round2(closure_ms)
-      << ", \"events_per_sec\": " << events_per_sec(closure_res, closure_ms)
-      << ", \"peak_pending_events\": "
-      << closure_res.kernel_stats.peak_pending_events << "},\n"
       << "    {\"case\": \"typed_10k\", \"sites\": " << wc10k.sites
       << ", \"queries\": " << wc10k.queries
       << ", \"run_ms\": " << round2(typed_ms)
@@ -730,7 +662,7 @@ int emit_online(const std::string& out_path, int reps) {
       << ", \"peak_pending_events\": "
       << typed_res.kernel_stats.peak_pending_events
       << ", \"peak_flights\": " << typed_res.kernel_stats.peak_flights
-      << ", \"speedup_vs_closure\": " << round2(speedup) << "},\n"
+      << "},\n"
       << sweep_json
       << "  ]\n}\n";
   std::cerr << "wrote " << out_path << "\n";
@@ -757,8 +689,8 @@ double flow_churn_ms(std::size_t flows, std::size_t links,
   std::vector<double> sizes(spawns);
   for (double& s : sizes) s = rng.uniform(0.5, 2.0);
 
-  EventQueue eq;
-  FlowEngine engine(eq, std::vector<double>(links, 1.0));
+  TypedEventQueue queue;
+  FlowEngine engine(queue, std::vector<double>(links, 1.0));
   std::uint64_t refills = 0;
   engine.set_rate_listener(
       [&refills](std::uint32_t, double, double rate, double, EdgeId) {
@@ -766,19 +698,19 @@ double flow_churn_ms(std::size_t flows, std::size_t links,
       });
   std::size_t next = 0;
   std::uint64_t done = 0;
-  std::function<void()> launch = [&] {
+  auto launch = [&] {
     if (next >= spawns) return;
     const std::size_t i = next++;
-    engine.start_flow(sizes[i], paths[i],
-                      [&launch, &done] {
-                        ++done;
-                        launch();
-                      },
-                      static_cast<std::uint32_t>(i));
+    engine.start_flow(sizes[i], paths[i], static_cast<std::uint32_t>(i));
   };
   const auto t0 = clock_type::now();
   for (std::size_t i = 0; i < flows; ++i) launch();
-  eq.run();
+  SimEvent ev;
+  while (queue.pop(&ev)) {
+    if (engine.handle_event(ev) == FlowEngine::kNoFlow) continue;
+    ++done;
+    launch();
+  }
   const auto t1 = clock_type::now();
   if (engine.active_flows() != 0) {
     throw std::runtime_error("bench_json: flow churn left active flows");
@@ -1012,9 +944,6 @@ int run(int argc, char** argv) {
   const int repair_reps =
       std::max(1, static_cast<int>(args.get_int("repair-reps", 9)));
   const std::string repair_path = args.get("repair-out", "BENCH_repair.json");
-  const int serve_reps =
-      std::max(1, static_cast<int>(args.get_int("serve-reps", 9)));
-  const std::string serve_path = args.get("serve-out", "BENCH_serve.json");
   // The flagship throughput case runs 1M queries per (shard count, rep):
   // one rep keeps the full suite in minutes while still averaging over a
   // million admissions.
@@ -1036,8 +965,7 @@ int run(int argc, char** argv) {
   const std::string flows_path = args.get("flows-out", "BENCH_flows.json");
 
   // `--only SECTION` regenerates a single anchor after a targeted change
-  // (appro | substrate | repair | serve | throughput | online | obs |
-  // flows).
+  // (appro | substrate | repair | throughput | online | obs | flows).
   const std::string only = args.get("only", "");
   const auto wants = [&only](const char* section) {
     return only.empty() || only == section;
@@ -1049,9 +977,6 @@ int run(int argc, char** argv) {
     return rc;
   }
   if (wants("repair") && (rc = emit_repair(repair_path, repair_reps)) != 0) {
-    return rc;
-  }
-  if (wants("serve") && (rc = emit_serve(serve_path, serve_reps)) != 0) {
     return rc;
   }
   if (wants("throughput") &&

@@ -53,7 +53,6 @@ int usage() {
       "           [--growth G] [--trials N] [--seed S]\n"
       "  online   --instance FILE [--plan FILE] [--arrival-rate R]\n"
       "           [--no-reactive] [--seed S] [--faults FILE] [--no-repair]\n"
-      "           [--kernel typed|closure]\n"
       "           [--network table|flow] [--oversub F]\n"
       "           --network=flow routes admitted transfers as max-min fair\n"
       "           flows over per-edge capacities (divided by --oversub;\n"
@@ -347,7 +346,7 @@ void add_online_series(obs::TimeSeriesSampler& sampler,
   });
   sampler.add_series("online_utilization",
                      [&board] { return board.utilization(); });
-  // Typed-kernel internals published by the status tick (sim/online_typed):
+  // Event-core internals published by the status tick (sim/online.cpp):
   // queue depth and high-water, flight-slab occupancy and generation churn,
   // immediates-ring burst depth.
   sampler.add_gauge_series("edgerep_kernel_pending_events");
@@ -445,12 +444,6 @@ int cmd_online(const Args& args) {
   cfg.seed = args.get_seed("seed", 0x0a11);
   cfg.reactive_replicas = !args.get_bool("no-reactive", false);
   cfg.repair_on_failure = !args.get_bool("no-repair", false);
-  const std::string kernel = args.get("kernel", "typed");
-  if (kernel == "closure") {
-    cfg.kernel = OnlineKernel::kClosure;
-  } else if (kernel != "typed") {
-    throw std::runtime_error("--kernel must be typed or closure");
-  }
   const std::string network = args.get("network", "table");
   if (network == "flow") {
     cfg.network = OnlineNetwork::kFlow;
@@ -460,9 +453,9 @@ int cmd_online(const Args& args) {
   cfg.oversubscription = args.get_double("oversub", 1.0);
   if (args.has("faults")) cfg.faults = load_faults(inst, args);
   // `--gen-faults N` draws N site crashes + N capacity losses (with repair)
-  // over the arrival horizon in-process — how the large-N cross-kernel
-  // smoke reaches the fault, shed, and relocation paths on a generated
-  // instance that has no trace file.
+  // over the arrival horizon in-process — how the large-N golden smoke
+  // reaches the fault, shed, and relocation paths on a generated instance
+  // that has no trace file.
   if (args.has("gen-faults")) {
     if (args.has("faults")) {
       throw std::runtime_error("--gen-faults conflicts with --faults");
@@ -516,10 +509,7 @@ int cmd_online(const Args& args) {
             << inst.queries().size() << " (throughput " << res.throughput
             << ")\nadmitted volume: " << res.admitted_volume
             << " GB\npeak utilization: " << res.peak_utilization << "\n";
-  std::cout << "kernel: "
-            << (res.kernel_stats.kernel == OnlineKernel::kTyped ? "typed"
-                                                                : "closure")
-            << ", events: " << res.kernel_stats.events_processed
+  std::cout << "events: " << res.kernel_stats.events_processed
             << ", peak pending: " << res.kernel_stats.peak_pending_events
             << ", peak flights: " << res.kernel_stats.peak_flights << "\n";
   std::cout << "result hash: " << std::hex << std::setw(16)
