@@ -14,7 +14,11 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "obs/audit.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "obs/watchdog.h"
 #include "sim/metrics.h"
 #include "sim/online.h"
@@ -113,6 +117,74 @@ inline std::string sim_fp(const SimReport& r) {
   return hex64(fnv1a(os.str())) + " served=" +
          std::to_string(r.served_queries) + " admitted=" +
          std::to_string(r.admitted_queries);
+}
+
+/// Every AuditEntry field in log order (doubles as raw bits), FNV-1a.
+inline std::string audit_fp(const std::vector<obs::AuditEntry>& entries) {
+  std::ostringstream os;
+  for (const obs::AuditEntry& e : entries) {
+    os << e.algorithm << ' ' << e.query << ' ' << e.demand << ' '
+       << e.dataset << ' ' << e.admitted << ' '
+       << static_cast<unsigned>(e.reason) << ' ' << e.site << ' '
+       << e.placed_replica << ' ' << bits(e.theta_term) << ' '
+       << bits(e.capacity_term) << ' ' << bits(e.eta_term) << ' '
+       << bits(e.mu_term) << ' ' << bits(e.total_price) << '\n';
+  }
+  return "audit=" + hex64(fnv1a(os.str())) + ":" +
+         std::to_string(entries.size());
+}
+
+/// The sim-clock track (pid 2) of the tracer in record order, FNV-1a.
+inline std::string sim_trace_fp(const std::vector<obs::TraceEvent>& events) {
+  std::ostringstream os;
+  std::size_t n = 0;
+  for (const obs::TraceEvent& ev : events) {
+    if (ev.pid != 2) continue;
+    os << ev.phase << ' ' << ev.name << ' ' << ev.id << ' ' << ev.start_ns
+       << ' ' << ev.dur_ns << '\n';
+    ++n;
+  }
+  return "trace=" + hex64(fnv1a(os.str())) + ":" + std::to_string(n);
+}
+
+/// Every registered counter's value, read from the registry's JSON form.
+inline std::map<std::string, std::uint64_t> counter_values() {
+  std::ostringstream os;
+  obs::metrics().write_json(os);
+  const std::string json = os.str();
+  std::map<std::string, std::uint64_t> out;
+  const std::size_t begin = json.find("\"counters\": {");
+  const std::size_t end = json.find('}', begin);
+  std::size_t at = json.find('"', begin + 12);
+  while (at < end) {
+    const std::size_t close = json.find('"', at + 1);
+    const std::string name = json.substr(at + 1, close - at - 1);
+    out[name] = std::stoull(json.substr(json.find(':', close) + 1));
+    at = json.find('"', close + 1);
+  }
+  return out;
+}
+
+/// `name=delta` (comma-separated, name order) for every counter starting
+/// with one of `prefixes` that moved between the two snapshots.  Counters
+/// that did not move are left out: whether they are registered at all
+/// depends on what ran earlier in the process.
+inline std::string counter_deltas(
+    const std::map<std::string, std::uint64_t>& before,
+    const std::map<std::string, std::uint64_t>& after,
+    const std::vector<std::string>& prefixes) {
+  std::string out = "counters=";
+  bool first = true;
+  for (const auto& [name, value] : after) {
+    bool match = false;
+    for (const std::string& p : prefixes) match |= name.rfind(p, 0) == 0;
+    const auto it = before.find(name);
+    const std::uint64_t delta = value - (it == before.end() ? 0 : it->second);
+    if (!match || delta == 0) continue;
+    out += (first ? "" : ",") + name + "=" + std::to_string(delta);
+    first = false;
+  }
+  return out;
 }
 
 /// Byte-compare `actual` against the golden file `file`.  A mismatch

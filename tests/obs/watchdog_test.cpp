@@ -13,6 +13,7 @@
 
 #include "helpers/fixtures.h"
 #include "helpers/golden.h"
+#include "obs/audit.h"
 #include "obs/obs.h"
 #include "obs/postmortem.h"
 #include "obs/recorder.h"
@@ -549,22 +550,39 @@ TEST_F(WatchdogTest, StreamAlertsAreIdenticalAcrossThreadCounts) {
 
   obs::set_watchdog_enabled(true);
   obs::set_recorder_enabled(true);
+  obs::set_audit_enabled(true);
+  obs::set_metrics_enabled(true);
 
   std::vector<obs::Alert> alerts[2];
   std::string journal[2];
   int i = 0;
   for (const bool parallel : {false, true}) {
     obs::recorder().configure(obs::RecorderMode::kFull);
+    obs::audit_log().clear();
     StreamOptions o = opts;
     o.parallel = parallel;
-    const StreamResult res = run_stream(inst, stream, o);
-    (void)res;
+    const auto before = testing::counter_values();
+    run_stream(inst, stream, o);
+    auto after = testing::counter_values();
+    after.erase("edgerep_stream_reconcile_ns_total");  // wall clock
     alerts[i] = obs::watchdog().alerts();
     std::ostringstream os;
     obs::recorder().write(os);
     journal[i] = os.str();
+    // Every facet of the run is pinned, at any thread count.
+    testing::expect_golden(
+        "facets/stream_alerts_s4",
+        "journal=" + testing::hex64(testing::fnv1a(journal[i])) + " " +
+            testing::watchdog_fp(obs::watchdog().stats()) + " " +
+            testing::audit_fp(obs::audit_log().snapshot()));
+    testing::expect_golden(
+        "facets/stream_alerts_s4_counters",
+        testing::counter_deltas(before, after, {"edgerep_stream_"}));
     ++i;
   }
+  obs::audit_log().clear();
+  obs::set_metrics_enabled(false);
+  obs::set_audit_enabled(false);
   obs::set_recorder_enabled(false);
   obs::set_watchdog_enabled(false);
 
