@@ -83,8 +83,6 @@ FlightHandle FlightSlab::create() {
   f.birth = births_++;
   f.prev = tail_;
   f.next = kNilSlot;
-  f.span_transfer = kNilSlot;
-  f.span_compute = kNilSlot;
   if (tail_ != kNilSlot) {
     slots_[tail_].next = slot;
   } else {

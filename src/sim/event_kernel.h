@@ -189,8 +189,6 @@ struct Flight {
   SiteId site = kInvalidSite;
   double need = 0.0;            ///< GHz held while processing
   std::uint64_t birth = 0;      ///< global creation counter (launch order)
-  std::uint32_t span_transfer = kNilSlot;  ///< trace-facet span indices
-  std::uint32_t span_compute = kNilSlot;
   // Slab internals:
   std::uint32_t gen = 0;
   std::uint32_t prev = kNilSlot;  ///< intrusive live list (creation order)
