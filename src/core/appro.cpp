@@ -58,15 +58,15 @@ obs::AuditReason classify_rejection(const CandidateIndex& index,
                                     const ReplicaPlan& plan,
                                     bool budget_left) {
   const DatasetDemand& dd = q.demands[di];
-  const auto cands = index.candidates(q.id, di);
-  if (cands.empty()) return obs::AuditReason::kNoDeadlineFeasibleSite;
+  const CandidateSoA cands = index.soa(q.id, di);
+  if (cands.size() == 0) return obs::AuditReason::kNoDeadlineFeasibleSite;
   const double need = index.need(q.id, di);
-  for (const CandidateSite& c : cands) {
-    if (!plan.fits(c.site, need)) continue;
+  for (const SiteId l : cands.site) {
+    if (!plan.fits(l, need)) continue;
     // A fitting site with a replica would have been admitted, so a fitting
     // candidate here necessarily lacks one: the budget was the binding
     // constraint.
-    if (!budget_left && !plan.has_replica(dd.dataset, c.site)) {
+    if (!budget_left && !plan.has_replica(dd.dataset, l)) {
       return obs::AuditReason::kReplicaBudgetSpent;
     }
   }
@@ -154,15 +154,17 @@ bool admit_demand(const Instance& inst, const CandidateIndex& index,
   } else {
     // Scalar oracle: candidate-at-a-time walk, bit-identical to the kernel
     // by construction (same FP sequence, same ascending-id visit order).
-    for (const CandidateSite& c : index.candidates(q.id, di)) {
-      const bool has = plan.has_replica(dd.dataset, c.site);
+    const CandidateSoA cands = index.soa(q.id, di);
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+      const SiteId l = cands.site[i];
+      const bool has = plan.has_replica(dd.dataset, l);
       if (!has && !budget_left) continue;
-      if (!plan.fits(c.site, need)) continue;
-      double p = duals.theta(c.site) + need * index.inv_avail(c.site) +
-                 opts.eta_weight * c.delay_over_deadline;
+      if (!plan.fits(l, need)) continue;
+      double p = duals.theta(l) + need * cands.inv_avail[i] +
+                 opts.eta_weight * cands.dod[i];
       if (!has) p += mu_term;
       if (best_site == kInvalidSite || p < best_price) {
-        best_site = c.site;
+        best_site = l;
         best_needs_replica = !has;
         best_price = p;
       }

@@ -1,6 +1,7 @@
 #include "core/candidate_index.h"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 #include "util/thread_pool.h"
@@ -13,12 +14,15 @@ CandidateIndex::CandidateIndex(const Instance& inst, bool parallel) {
   }
   const auto sites = inst.sites();
   const auto queries = inst.queries();
+  const std::size_t n_sites = sites.size();
 
-  inv_avail_.resize(sites.size());
-  avail_.resize(sites.size());
+  inv_avail_.resize(n_sites);
+  avail_.resize(n_sites);
+  std::vector<double> proc(n_sites);
   for (const Site& s : sites) {
     inv_avail_[s.id] = 1.0 / std::max(s.available, 1e-12);
     avail_[s.id] = s.available;
+    proc[s.id] = s.proc_delay;
   }
 
   query_offset_.resize(queries.size() + 1);
@@ -29,60 +33,87 @@ CandidateIndex::CandidateIndex(const Instance& inst, bool parallel) {
   }
   query_offset_[queries.size()] = slots;
   need_.resize(slots);
+  slot_begin_.assign(slots + 1, 0);
 
-  // Sweep each demand's row of the delay model once; rows are independent,
-  // so big instances fill them in parallel (per-slot writes keep the result
-  // deterministic).
-  std::vector<std::vector<CandidateSite>> rows(slots);
-  auto fill_query = [&](std::size_t m) {
-    const Query& q = queries[m];
-    std::size_t slot = query_offset_[m];
-    for (const DatasetDemand& dd : q.demands) {
-      const Dataset& ds = inst.dataset(dd.dataset);
-      const double vol = ds.volume;
-      const double sel_vol = dd.selectivity * vol;
-      need_[slot] = vol * q.rate;
-      auto& row = rows[slot];
-      for (const Site& s : sites) {
-        const double delay =
-            vol * s.proc_delay + sel_vol * inst.path_delay(s.id, q.home);
-        if (delay <= q.deadline) {
-          row.push_back({s.id, delay, delay / q.deadline});
+  // Queries sharing a home share the delays to it, so they are visited
+  // grouped by home and read one gathered column instead of a strided
+  // column of the site-rows table.
+  std::vector<QueryId> by_home(queries.size());
+  std::iota(by_home.begin(), by_home.end(), QueryId{0});
+  std::stable_sort(by_home.begin(), by_home.end(), [&](QueryId a, QueryId b) {
+    return queries[a].home < queries[b].home;
+  });
+
+  // Calls visit(q, slot, vol, sel_vol, column) for every demand, where
+  // column[s] = path_delay(s, q.home).  Each slot's result is a pure
+  // function of the slot, so any split of the list into blocks — and so
+  // any thread count — builds the same arrays.
+  const auto sweep = [&](const auto& visit) {
+    const auto block = [&](std::size_t begin, std::size_t end) {
+      std::vector<double> column(n_sites);
+      SiteId home = kInvalidSite;
+      for (std::size_t i = begin; i < end; ++i) {
+        const Query& q = queries[by_home[i]];
+        if (q.home != home) {
+          home = q.home;
+          for (std::size_t s = 0; s < n_sites; ++s) {
+            column[s] = inst.path_delay(static_cast<SiteId>(s), home);
+          }
+        }
+        std::size_t slot = query_offset_[q.id];
+        for (const DatasetDemand& dd : q.demands) {
+          const double vol = inst.dataset(dd.dataset).volume;
+          visit(q, slot++, vol, dd.selectivity * vol, column.data());
         }
       }
-      ++slot;
+    };
+    if (parallel && queries.size() * n_sites > 4096) {
+      global_pool().parallel_for_blocked(queries.size(), block);
+    } else {
+      block(0, queries.size());
     }
   };
-  if (parallel && queries.size() * sites.size() > 4096) {
-    global_pool().parallel_for(queries.size(), fill_query);
-  } else {
-    for (std::size_t m = 0; m < queries.size(); ++m) fill_query(m);
-  }
 
-  slot_begin_.resize(slots + 1);
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < slots; ++s) {
-    slot_begin_[s] = total;
-    total += rows[s].size();
-  }
-  slot_begin_[slots] = total;
-  candidates_.resize(total);
-  for (std::size_t s = 0; s < slots; ++s) {
-    std::copy(rows[s].begin(), rows[s].end(),
-              candidates_.begin() + slot_begin_[s]);
-  }
+  // Both passes evaluate the naive scan's deadline test, vol·proc +
+  // (α·vol)·path ≤ deadline, in its operation order, so rows hold the same
+  // sites and the same η bits.  Count pass: row lengths land one slot up,
+  // and a prefix sum turns them into row offsets.
+  sweep([&](const Query& q, std::size_t slot, double vol, double sel_vol,
+            const double* column) {
+    need_[slot] = vol * q.rate;
+    const double deadline = q.deadline;
+    std::size_t n = 0;
+    for (std::size_t s = 0; s < n_sites; ++s) {
+      n += vol * proc[s] + sel_vol * column[s] <= deadline ? 1 : 0;
+    }
+    slot_begin_[slot + 1] = n;
+  });
+  std::partial_sum(slot_begin_.begin(), slot_begin_.end(),
+                   slot_begin_.begin());
+  const std::size_t total = slot_begin_[slots];
+  soa_site_ = std::make_unique_for_overwrite<SiteId[]>(total);
+  soa_inv_ = std::make_unique_for_overwrite<double[]>(total);
+  soa_dod_ = std::make_unique_for_overwrite<double[]>(total);
 
-  // SoA mirrors for the vectorized pricing kernel: same entries, same order,
-  // split into contiguous parallel arrays with the reciprocal pre-gathered.
-  soa_site_.resize(total);
-  soa_inv_.resize(total);
-  soa_dod_.resize(total);
-  for (std::size_t i = 0; i < total; ++i) {
-    const CandidateSite& c = candidates_[i];
-    soa_site_[i] = c.site;
-    soa_inv_[i] = inv_avail_[c.site];
-    soa_dod_[i] = c.delay_over_deadline;
-  }
+  // Fill pass: every row is written in place at its final offset.
+  SiteId* const site_out = soa_site_.get();
+  double* const inv_out = soa_inv_.get();
+  double* const dod_out = soa_dod_.get();
+  sweep([&](const Query& q, std::size_t slot, double vol, double sel_vol,
+            const double* column) {
+    const double deadline = q.deadline;
+    std::size_t k = slot_begin_[slot];
+    for (std::size_t s = 0; s < n_sites; ++s) {
+      const double delay = vol * proc[s] + sel_vol * column[s];
+      if (delay <= deadline) {
+        site_out[k] = static_cast<SiteId>(s);
+        inv_out[k] = inv_avail_[s];
+        dod_out[k] = delay / deadline;
+        ++k;
+      }
+    }
+    assert(k == slot_begin_[slot + 1]);
+  });
 }
 
 }  // namespace edgerep

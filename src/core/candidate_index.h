@@ -1,12 +1,19 @@
 // Per-demand candidate-site index for the admission hot path.
 //
 // For every (query, demand) pair the index precomputes the deadline-feasible
-// site list in one pass over the delay rows, caching the evaluation delay
-// and its deadline-relative form so `admit_demand`'s pricing scan touches
+// site list, caching each site's capacity reciprocal and the evaluation
+// delay's deadline-relative form, so `admit_demand`'s pricing scan touches
 // only feasible sites and never recomputes `volume·proc_delay +
-// α·volume·path_delay`.  Per-demand resource needs and per-site capacity
-// reciprocals are cached alongside, turning the per-candidate price into
-// three multiply-adds on dynamic dual state.
+// α·volume·path_delay`.  Per-demand resource needs are cached alongside,
+// turning the per-candidate price into three multiply-adds on dynamic dual
+// state.
+//
+// Rows live in one struct-of-arrays layout (site ids, reciprocals, η bases
+// in three parallel CSR arrays).  The build buckets queries by home site,
+// gathers the delays from every site to a home into one contiguous column,
+// and scans that column twice per demand: once to count its feasible sites
+// (a prefix sum of the counts gives every row's final offset) and once to
+// fill the row in place.
 //
 // Candidates are stored in ascending site-id order — the same order the
 // naive per-site scan visits them — so strict `<` argmin tie-breaking is
@@ -15,6 +22,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -23,30 +31,12 @@
 
 namespace edgerep {
 
-/// One deadline-feasible evaluation site for a specific (query, demand).
-struct CandidateSite {
-  SiteId site = kInvalidSite;
-  double delay = 0.0;                ///< evaluation_delay at this site
-  double delay_over_deadline = 0.0;  ///< delay / q.deadline (the η base)
-};
-
 class CandidateIndex {
  public:
-  /// Builds the index for a finalized instance; the per-query sweeps are
-  /// independent, so large instances build rows in parallel.
+  /// Builds the index for a finalized instance; the per-home sweeps are
+  /// independent, so large instances build rows in parallel.  The arrays
+  /// are identical for either value of `parallel`.
   explicit CandidateIndex(const Instance& inst, bool parallel = true);
-
-  /// Feasible sites for query m's demand at position `demand` in
-  /// q.demands, ascending by site id.  Hot path: unchecked indexing with
-  /// debug asserts.
-  [[nodiscard]] std::span<const CandidateSite> candidates(
-      QueryId m, std::size_t demand) const {
-    assert(m + 1 < query_offset_.size());
-    const std::size_t slot = query_offset_[m] + demand;
-    assert(slot + 1 < slot_begin_.size());
-    return {candidates_.data() + slot_begin_[slot],
-            candidates_.data() + slot_begin_[slot + 1]};
-  }
 
   /// Cached resource_demand(inst, q, q.demands[demand]).
   [[nodiscard]] double need(QueryId m, std::size_t demand) const {
@@ -61,18 +51,19 @@ class CandidateIndex {
     return inv_avail_[l];
   }
 
-  /// Struct-of-arrays view of the same candidate row as `candidates`, for
-  /// the vectorized pricing kernel: site ids, pre-gathered capacity
-  /// reciprocals, and η bases in three contiguous parallel arrays.
+  /// Feasible sites for query m's demand at position `demand` in
+  /// q.demands, ascending by site id: site ids, pre-gathered capacity
+  /// reciprocals, and η bases (delay / deadline) in three contiguous
+  /// parallel arrays.  Hot path: unchecked indexing with debug asserts.
   [[nodiscard]] CandidateSoA soa(QueryId m, std::size_t demand) const {
     assert(m + 1 < query_offset_.size());
     const std::size_t slot = query_offset_[m] + demand;
     assert(slot + 1 < slot_begin_.size());
     const std::size_t b = slot_begin_[slot];
     const std::size_t e = slot_begin_[slot + 1];
-    return {{soa_site_.data() + b, soa_site_.data() + e},
-            {soa_inv_.data() + b, soa_inv_.data() + e},
-            {soa_dod_.data() + b, soa_dod_.data() + e}};
+    return {{soa_site_.get() + b, soa_site_.get() + e},
+            {soa_inv_.get() + b, soa_inv_.get() + e},
+            {soa_dod_.get() + b, soa_dod_.get() + e}};
   }
 
   /// Raw per-site availabilities A(v_l), indexed by site id — the kernel's
@@ -82,19 +73,21 @@ class CandidateIndex {
   }
 
   /// Total candidate entries (diagnostics / tests).
-  [[nodiscard]] std::size_t size() const noexcept { return candidates_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept {
+    return slot_begin_.back();
+  }
 
  private:
   std::vector<std::size_t> query_offset_;   ///< per query: first demand slot
-  std::vector<std::size_t> slot_begin_;     ///< CSR offsets into candidates_
-  std::vector<CandidateSite> candidates_;
+  std::vector<std::size_t> slot_begin_;     ///< CSR offsets into the soa_*
   std::vector<double> need_;                ///< per demand slot
   std::vector<double> inv_avail_;           ///< per site
   std::vector<double> avail_;               ///< per site, raw A(v_l)
-  // SoA mirrors of candidates_, aligned entry-for-entry with slot_begin_.
-  std::vector<SiteId> soa_site_;
-  std::vector<double> soa_inv_;   ///< inv_avail_[site], pre-gathered
-  std::vector<double> soa_dod_;   ///< delay_over_deadline
+  // Allocated without zero-filling: the fill pass writes every entry, so
+  // its threads are the first to touch the pages.
+  std::unique_ptr<SiteId[]> soa_site_;
+  std::unique_ptr<double[]> soa_inv_;  ///< inv_avail_[site], pre-gathered
+  std::unique_ptr<double[]> soa_dod_;  ///< delay / deadline
 };
 
 }  // namespace edgerep

@@ -80,28 +80,29 @@ bool admit_demand_faulted(const Instance& inst, const CandidateIndex& index,
   bool saw_feasible_site = false;
   bool blocked_by_budget = false;
 
-  for (const CandidateSite& c : index.candidates(q.id, di)) {
-    if (!faults.site_up(c.site)) continue;
-    double eta_base = c.delay_over_deadline;
+  const CandidateSoA cands = index.soa(q.id, di);
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    const SiteId l = cands.site[i];
+    if (!faults.site_up(l)) continue;
+    double eta_base = cands.dod[i];
     if (link_faults) {
-      const double ed = faults.evaluation_delay(q, dd, c.site);
+      const double ed = faults.evaluation_delay(q, dd, l);
       if (ed > q.deadline) continue;
       eta_base = ed / q.deadline;
     }
     saw_feasible_site = true;
-    const bool has = plan.has_replica(dd.dataset, c.site);
-    const double eff = faults.available(c.site);
-    if (plan.load(c.site) + need > eff + kCapacityEps) continue;
+    const bool has = plan.has_replica(dd.dataset, l);
+    const double eff = faults.available(l);
+    if (plan.load(l) + need > eff + kCapacityEps) continue;
     if (!has && !budget_left) {
       blocked_by_budget = true;
       continue;
     }
     const double capacity_term = need / std::max(eff, 1e-12);
-    double p = duals.theta(c.site) + capacity_term +
-               opts.eta_weight * eta_base;
+    double p = duals.theta(l) + capacity_term + opts.eta_weight * eta_base;
     if (!has) p += mu_term;
     if (best_site == kInvalidSite || p < best_price) {
-      best_site = c.site;
+      best_site = l;
       best_needs_replica = !has;
       best_price = p;
       best_eta = opts.eta_weight * eta_base;

@@ -5,7 +5,11 @@
 // general-case instances.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "baselines/greedy.h"
@@ -13,6 +17,7 @@
 #include "core/candidate_index.h"
 #include "core/primal_dual.h"
 #include "helpers/fixtures.h"
+#include "util/rng.h"
 
 namespace edgerep {
 namespace {
@@ -80,31 +85,176 @@ TEST(DualSavepoint, CommitStopsJournalingAndInvalidatesSavepoints) {
 
 // --- candidate index ------------------------------------------------------
 
-TEST(CandidateIndexTest, MatchesNaiveFeasibilityAndDelay) {
-  const Instance inst = testing::medium_instance(31, /*f_max=*/4);
-  const CandidateIndex index(inst);
+/// Shape of a hand-built index instance: sites on a random graph, queries
+/// whose homes are drawn from the even sites below 2·`homes` (so several
+/// queries share a home and the other sites are homes of none), 1–3
+/// distinct demands each.
+struct IndexCase {
+  std::size_t sites = 12;
+  std::size_t queries = 30;
+  std::size_t homes = 6;      ///< at most sites / 2
+  bool disconnected = false;  ///< two halves with no link between them
+  bool zero_proc = false;     ///< every processing delay 0
+};
+
+/// Deterministic in (seed, shape).  A positive `q0_deadline` replaces query
+/// 0's drawn deadline and changes nothing else, so a deadline computed on
+/// one build applies to the identical instance of a second build.
+Instance index_instance(std::uint64_t seed, const IndexCase& c,
+                        double q0_deadline = 0.0) {
+  Rng rng(seed);
+  Graph g;
+  for (std::size_t v = 0; v < c.sites; ++v) {
+    g.add_node(v % 4 == 0 ? NodeRole::kDataCenter : NodeRole::kCloudlet);
+  }
+  // A path through each half keeps the half connected; chords add choice.
+  const std::size_t half = c.disconnected ? c.sites / 2 : c.sites;
+  for (std::size_t v = 1; v < c.sites; ++v) {
+    if (v == half) continue;
+    g.add_edge(static_cast<NodeId>(v - 1), static_cast<NodeId>(v),
+               rng.uniform(0.05, 1.0));
+  }
+  for (std::size_t e = 0; e < c.sites; ++e) {
+    const auto u = static_cast<NodeId>(rng.uniform_u64(0, c.sites - 1));
+    const auto v = static_cast<NodeId>(rng.uniform_u64(0, c.sites - 1));
+    if (u == v || (u < half) != (v < half)) continue;
+    g.add_edge(u, v, rng.uniform(0.05, 1.0));
+  }
+  Instance inst(std::move(g));
+  for (std::size_t v = 0; v < c.sites; ++v) {
+    const double proc = c.zero_proc ? 0.0 : rng.uniform(0.0, 0.3);
+    inst.add_site(static_cast<NodeId>(v), rng.uniform(5.0, 50.0), proc);
+  }
+  inst.set_available(1, 0.0);  // the 1e-12 floor of the reciprocal
+  constexpr std::size_t kDatasets = 5;
+  for (std::size_t n = 0; n < kDatasets; ++n) {
+    inst.add_dataset(rng.uniform(1.0, 4.0),
+                     static_cast<SiteId>(rng.uniform_u64(0, c.sites - 1)));
+  }
+  for (std::size_t m = 0; m < c.queries; ++m) {
+    const auto home = static_cast<SiteId>(2 * rng.uniform_u64(0, c.homes - 1));
+    const std::size_t f = rng.uniform_u64(1, 3);
+    const std::size_t first = rng.uniform_u64(0, kDatasets - 1);
+    std::vector<DatasetDemand> demands;
+    for (std::size_t k = 0; k < f; ++k) {
+      demands.push_back({static_cast<DatasetId>((first + k) % kDatasets),
+                         rng.uniform(0.1, 1.0)});
+    }
+    double deadline = rng.uniform(0.2, 3.0);
+    if (m == 0 && q0_deadline > 0.0) deadline = q0_deadline;
+    inst.add_query(home, rng.uniform(0.5, 2.0), deadline, std::move(demands));
+  }
+  inst.finalize();
+  return inst;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Every row against the brute-force reference: the per-site deadline test
+/// in ascending site order, with the η base and reciprocal it implies.
+void expect_matches_naive_scan(const Instance& inst,
+                               const CandidateIndex& index) {
+  std::size_t entries = 0;
   for (const Query& q : inst.queries()) {
     for (std::size_t di = 0; di < q.demands.size(); ++di) {
+      SCOPED_TRACE("query " + std::to_string(q.id) + " demand " +
+                   std::to_string(di));
       const DatasetDemand& dd = q.demands[di];
-      EXPECT_EQ(index.need(q.id, di), resource_demand(inst, q, dd));
-      const auto cands = index.candidates(q.id, di);
+      EXPECT_EQ(bits(index.need(q.id, di)),
+                bits(resource_demand(inst, q, dd)));
+      const CandidateSoA row = index.soa(q.id, di);
       std::size_t c = 0;
-      SiteId prev = 0;
       for (const Site& s : inst.sites()) {
         if (!deadline_ok(inst, q, dd, s.id)) continue;
-        ASSERT_LT(c, cands.size());
-        EXPECT_EQ(cands[c].site, s.id);
-        EXPECT_EQ(cands[c].delay, evaluation_delay(inst, q, dd, s.id));
-        EXPECT_EQ(cands[c].delay_over_deadline, cands[c].delay / q.deadline);
-        if (c > 0) {
-          EXPECT_GT(cands[c].site, prev);  // ascending site order
-        }
-        prev = cands[c].site;
+        ASSERT_LT(c, row.size());
+        EXPECT_EQ(row.site[c], s.id);
+        EXPECT_EQ(bits(row.dod[c]),
+                  bits(evaluation_delay(inst, q, dd, s.id) / q.deadline));
+        EXPECT_EQ(bits(row.inv_avail[c]),
+                  bits(1.0 / std::max(s.available, 1e-12)));
         ++c;
       }
-      EXPECT_EQ(c, cands.size());  // no infeasible entries
+      EXPECT_EQ(c, row.size());  // no infeasible entries
+      entries += c;
     }
   }
+  EXPECT_EQ(index.size(), entries);
+}
+
+void expect_identical_arrays(const Instance& inst, const CandidateIndex& a,
+                             const CandidateIndex& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (const Query& q : inst.queries()) {
+    for (std::size_t di = 0; di < q.demands.size(); ++di) {
+      EXPECT_EQ(bits(a.need(q.id, di)), bits(b.need(q.id, di)));
+      const CandidateSoA ra = a.soa(q.id, di);
+      const CandidateSoA rb = b.soa(q.id, di);
+      ASSERT_EQ(ra.size(), rb.size());
+      for (std::size_t i = 0; i < ra.size(); ++i) {
+        EXPECT_EQ(ra.site[i], rb.site[i]);
+        EXPECT_EQ(bits(ra.inv_avail[i]), bits(rb.inv_avail[i]));
+        EXPECT_EQ(bits(ra.dod[i]), bits(rb.dod[i]));
+      }
+    }
+  }
+}
+
+TEST(CandidateIndexTest, MatchesNaiveFeasibilityAndDelay) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Instance generated = testing::medium_instance(seed, /*f_max=*/4);
+    expect_matches_naive_scan(generated, CandidateIndex(generated));
+
+    IndexCase c;
+    c.sites = 6 + seed * 3;
+    c.queries = 3 * c.sites;
+    c.homes = c.sites / 2;
+    c.disconnected = seed % 3 == 0;
+    c.zero_proc = seed % 4 == 1;
+    // Query 0's deadline set to its first demand's largest finite delay:
+    // the site with that delay sits exactly at the deadline and stays a
+    // candidate.
+    const Instance probe = index_instance(seed, c);
+    const Query& q0 = probe.query(0);
+    double tight = 0.0;
+    for (const Site& s : probe.sites()) {
+      const double d = evaluation_delay(probe, q0, q0.demands[0], s.id);
+      if (d < kInfDelay) tight = std::max(tight, d);
+    }
+    ASSERT_GT(tight, 0.0);
+    const Instance inst = index_instance(seed, c, tight);
+    const CandidateIndex index(inst);
+    expect_matches_naive_scan(inst, index);
+
+    const CandidateSoA row0 = index.soa(0, 0);
+    ASSERT_GT(row0.size(), 0u);
+    bool at_deadline = false;
+    for (const double dod : row0.dod) at_deadline |= dod == 1.0;
+    EXPECT_TRUE(at_deadline);
+    if (c.disconnected) {
+      // Query 0's home sees only its own half.
+      for (const SiteId l : row0.site) {
+        EXPECT_EQ(l < c.sites / 2, inst.query(0).home < c.sites / 2);
+      }
+    }
+  }
+}
+
+TEST(CandidateIndexTest, ParallelBuildMatchesSerialBuild) {
+  IndexCase c;
+  c.sites = 64;
+  c.queries = 200;  // 64 × 200 sites·queries: above the fan-out cutoff
+  c.homes = 20;
+  const Instance spread = index_instance(41, c);
+  expect_identical_arrays(spread, CandidateIndex(spread, true),
+                          CandidateIndex(spread, false));
+  expect_matches_naive_scan(spread, CandidateIndex(spread, true));
+
+  c.homes = 1;  // every query shares one home: one column for all blocks
+  const Instance one_home = index_instance(43, c);
+  expect_identical_arrays(one_home, CandidateIndex(one_home, true),
+                          CandidateIndex(one_home, false));
+  expect_matches_naive_scan(one_home, CandidateIndex(one_home, true));
 }
 
 // --- savepoint vs copy equivalence ---------------------------------------
