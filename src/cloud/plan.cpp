@@ -17,6 +17,12 @@ std::size_t demand_index(const Query& q, DatasetId n) {
   return static_cast<std::size_t>(-1);
 }
 
+/// Position of site s in a replica list, or the list's size when absent.
+std::size_t replica_slot(const std::vector<SiteId>& sites, SiteId s) {
+  return static_cast<std::size_t>(std::find(sites.begin(), sites.end(), s) -
+                                  sites.begin());
+}
+
 }  // namespace
 
 ReplicaPlan::ReplicaPlan(const Instance& inst) : inst_(&inst) {
@@ -24,6 +30,7 @@ ReplicaPlan::ReplicaPlan(const Instance& inst) : inst_(&inst) {
     throw std::invalid_argument("ReplicaPlan: instance not finalized");
   }
   replicas_.resize(inst.datasets().size());
+  users_.resize(inst.datasets().size());
   demand_sites_.resize(inst.queries().size());
   for (const Query& q : inst.queries()) {
     demand_sites_[q.id].assign(q.demands.size(), kInvalidSite);
@@ -41,6 +48,7 @@ void ReplicaPlan::place_replica(DatasetId n, SiteId s) {
     throw std::invalid_argument("place_replica: site out of range");
   }
   sites.push_back(s);
+  users_[n].push_back(0);
   if (journaling_) {
     undo_log_.push_back({UndoEntry::Op::kPlaceReplica, n, s, 0, 0, 0.0});
   }
@@ -48,27 +56,31 @@ void ReplicaPlan::place_replica(DatasetId n, SiteId s) {
 
 void ReplicaPlan::remove_replica(DatasetId n, SiteId s) {
   auto& sites = replicas_.at(n);
-  const auto it = std::find(sites.begin(), sites.end(), s);
-  if (it == sites.end()) {
+  const std::size_t slot = replica_slot(sites, s);
+  if (slot == sites.size()) {
     throw std::runtime_error("remove_replica: no replica at site");
   }
-  for (const Query& q : inst_->queries()) {
-    if (!q.demands_dataset(n)) continue;
-    const auto a = assignment(q.id, n);
-    if (a && *a == s) {
-      throw std::runtime_error("remove_replica: replica still in use");
-    }
+  auto& users = users_[n];
+  if (users[slot] != 0) {
+    throw std::runtime_error("remove_replica: replica still in use");
   }
   if (journaling_) {
-    const auto slot = static_cast<std::uint32_t>(it - sites.begin());
-    undo_log_.push_back({UndoEntry::Op::kRemoveReplica, n, s, 0, slot, 0.0});
+    undo_log_.push_back({UndoEntry::Op::kRemoveReplica, n, s, 0,
+                         static_cast<std::uint32_t>(slot), 0.0});
   }
-  sites.erase(it);
+  sites.erase(sites.begin() + slot);
+  users.erase(users.begin() + slot);
 }
 
 bool ReplicaPlan::has_replica(DatasetId n, SiteId s) const {
   const auto& sites = replicas_.at(n);
   return std::find(sites.begin(), sites.end(), s) != sites.end();
+}
+
+std::size_t ReplicaPlan::replica_users(DatasetId n, SiteId s) const {
+  const auto& sites = replicas_.at(n);
+  const std::size_t slot = replica_slot(sites, s);
+  return slot == sites.size() ? 0 : users_[n][slot];
 }
 
 std::size_t ReplicaPlan::replica_count(DatasetId n) const {
@@ -88,7 +100,8 @@ void ReplicaPlan::assign(QueryId m, DatasetId n, SiteId s) {
   if (demand_sites_.at(m)[di] != kInvalidSite) {
     throw std::runtime_error("assign: demand already assigned");
   }
-  if (!has_replica(n, s)) {
+  const std::size_t slot = replica_slot(replicas_.at(n), s);
+  if (slot == replicas_[n].size()) {
     throw std::runtime_error("assign: no replica at target site");
   }
   const double need = resource_demand(*inst_, q, q.demands[di]);
@@ -101,6 +114,7 @@ void ReplicaPlan::assign(QueryId m, DatasetId n, SiteId s) {
   }
   demand_sites_[m][di] = s;
   load_[s] += need;
+  ++users_[n][slot];
 }
 
 void ReplicaPlan::unassign(QueryId m, DatasetId n) {
@@ -117,6 +131,8 @@ void ReplicaPlan::unassign(QueryId m, DatasetId n) {
   }
   load_[s] -= resource_demand(*inst_, q, q.demands[di]);
   demand_sites_[m][di] = kInvalidSite;
+  // An assigned demand's replica cannot be removed, so its slot exists.
+  --users_[n][replica_slot(replicas_[n], s)];
 }
 
 ReplicaPlan::Savepoint ReplicaPlan::savepoint() {
@@ -130,26 +146,31 @@ void ReplicaPlan::rollback_to(Savepoint sp) {
   }
   // LIFO replay: when entry k is undone every later entry already is, so the
   // plan is in exactly the state right after mutation k — a placed replica
-  // is the last element of its list and a removed one re-inserts at its
-  // journaled slot.
+  // is the last element of its list (with no users), a removed one
+  // re-inserts at its journaled slot (it had none), and an assignment's
+  // replica is still in its list.
   while (undo_log_.size() > sp) {
     const UndoEntry& e = undo_log_.back();
+    auto& sites = replicas_[e.dataset];
+    auto& users = users_[e.dataset];
     switch (e.op) {
       case UndoEntry::Op::kPlaceReplica:
-        replicas_[e.dataset].pop_back();
+        sites.pop_back();
+        users.pop_back();
         break;
-      case UndoEntry::Op::kRemoveReplica: {
-        auto& sites = replicas_[e.dataset];
+      case UndoEntry::Op::kRemoveReplica:
         sites.insert(sites.begin() + e.index, e.site);
+        users.insert(users.begin() + e.index, 0);
         break;
-      }
       case UndoEntry::Op::kAssign:
         demand_sites_[e.query][e.index] = kInvalidSite;
         load_[e.site] = e.prev_load;
+        --users[replica_slot(sites, e.site)];
         break;
       case UndoEntry::Op::kUnassign:
         demand_sites_[e.query][e.index] = e.site;
         load_[e.site] = e.prev_load;
+        ++users[replica_slot(sites, e.site)];
         break;
     }
     undo_log_.pop_back();

@@ -14,6 +14,10 @@
 // replica-list positions are journaled so site orderings are restored
 // exactly too — a rolled-back plan is indistinguishable from a copy that
 // was thrown away.
+//
+// Each replica slot also counts the assignments evaluating at it: `assign`
+// raises the count, `unassign` lowers it and rollback replays both, so
+// `remove_replica`'s in-use check is O(K) with no scan of the queries.
 #pragma once
 
 #include <cstdint>
@@ -44,6 +48,9 @@ class ReplicaPlan {
   /// local search).  Throws if any assignment still evaluates n at s.
   void remove_replica(DatasetId n, SiteId s);
   [[nodiscard]] bool has_replica(DatasetId n, SiteId s) const;
+  /// Assignments evaluating dataset n at site s (0 when s holds no
+  /// replica of n).  O(K).
+  [[nodiscard]] std::size_t replica_users(DatasetId n, SiteId s) const;
   [[nodiscard]] std::size_t replica_count(DatasetId n) const;
   [[nodiscard]] const std::vector<SiteId>& replica_sites(DatasetId n) const;
 
@@ -101,8 +108,8 @@ class ReplicaPlan {
     enum class Op : std::uint8_t {
       kPlaceReplica,   ///< undo: pop the site appended to replicas_[dataset]
       kRemoveReplica,  ///< undo: re-insert site at `index` in replicas_[dataset]
-      kAssign,         ///< undo: clear demand slot, restore prev_load
-      kUnassign,       ///< undo: re-set demand slot to site, restore prev_load
+      kAssign,         ///< undo: clear demand slot, restore prev_load, -1 user
+      kUnassign,       ///< undo: re-set demand slot, restore prev_load, +1 user
     };
     Op op;
     DatasetId dataset = 0;
@@ -114,6 +121,7 @@ class ReplicaPlan {
 
   const Instance* inst_;
   std::vector<std::vector<SiteId>> replicas_;          // per dataset
+  std::vector<std::vector<std::uint32_t>> users_;      // per replica slot
   std::vector<std::vector<SiteId>> demand_sites_;      // per query, per demand index
   std::vector<double> load_;                           // per site
   std::vector<UndoEntry> undo_log_;

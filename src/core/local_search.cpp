@@ -44,17 +44,6 @@ std::size_t rebalance_pass(ReplicaPlan& plan) {
   return moves;
 }
 
-/// Is any replica of dataset n at site l unused by assignments?
-bool replica_unused(const ReplicaPlan& plan, DatasetId n, SiteId l) {
-  const Instance& inst = plan.instance();
-  for (const Query& q : inst.queries()) {
-    if (!q.demands_dataset(n)) continue;
-    const auto a = plan.assignment(q.id, n);
-    if (a && *a == l) return false;
-  }
-  return true;
-}
-
 /// Try to fully admit query q in place under a savepoint; roll back the
 /// partial work (including any replica reclaimed in step 3) on failure.
 bool try_admit(ReplicaPlan& plan, const Query& q) {
@@ -96,7 +85,7 @@ bool try_admit(ReplicaPlan& plan, const Query& q) {
       } else {
         // 3. Reclaim budget from an unused replica of this dataset.
         for (const SiteId l : plan.replica_sites(dd.dataset)) {
-          if (replica_unused(plan, dd.dataset, l)) {
+          if (plan.replica_users(dd.dataset, l) == 0) {
             plan.remove_replica(dd.dataset, l);
             chosen = fresh_candidate();
             break;

@@ -1,6 +1,6 @@
 // Savepoint/rollback on ReplicaPlan: rollback must restore replica lists
-// (including element order), assignments, and the capacity ledger
-// bit-exactly, and savepoints must nest.
+// (including element order), per-replica user counts, assignments, and the
+// capacity ledger bit-exactly, and savepoints must nest.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -16,6 +16,7 @@ namespace {
 /// comparison after a rollback.
 struct PlanSnapshot {
   std::vector<std::vector<SiteId>> replicas;
+  std::vector<std::vector<std::size_t>> users;   // per replica, list order
   std::vector<std::vector<SiteId>> assignments;  // kInvalidSite = unassigned
   std::vector<double> loads;
 
@@ -24,6 +25,11 @@ struct PlanSnapshot {
     PlanSnapshot snap;
     for (const Dataset& d : inst.datasets()) {
       snap.replicas.push_back(plan.replica_sites(d.id));
+      std::vector<std::size_t> row;
+      for (const SiteId l : plan.replica_sites(d.id)) {
+        row.push_back(plan.replica_users(d.id, l));
+      }
+      snap.users.push_back(std::move(row));
     }
     for (const Query& q : inst.queries()) {
       std::vector<SiteId> row;
@@ -177,6 +183,80 @@ TEST(PlanSavepoint, RolledBackPlanEqualsDiscardedCopy) {
   plan.commit();
   EXPECT_EQ(PlanSnapshot::of(plan), committed);
   EXPECT_TRUE(validate(plan).ok);
+}
+
+// --- per-replica user counts ----------------------------------------------
+// remove_replica's in-use check reads a count that assign/unassign keep and
+// rollback replays; these pin that the count follows the journal.
+
+TEST(PlanSavepoint, RolledBackAssignLeavesReplicaRemovable) {
+  const Instance inst = testing::TinyFixture::make(/*deadline=*/5.0);
+  ReplicaPlan plan(inst);
+  plan.place_replica(0, 0);
+
+  const auto sp = plan.savepoint();
+  plan.assign(0, 0, 0);
+  EXPECT_EQ(plan.replica_users(0, 0), 1u);
+  plan.rollback_to(sp);
+  plan.commit();
+
+  EXPECT_EQ(plan.replica_users(0, 0), 0u);
+  EXPECT_NO_THROW(plan.remove_replica(0, 0));
+  EXPECT_EQ(plan.replica_count(0), 0u);
+}
+
+TEST(PlanSavepoint, RolledBackUnassignKeepsReplicaInUse) {
+  const Instance inst = testing::TinyFixture::make(/*deadline=*/5.0);
+  ReplicaPlan plan(inst);
+  plan.place_replica(0, 0);
+  plan.assign(0, 0, 0);
+
+  const auto sp = plan.savepoint();
+  plan.unassign(0, 0);
+  EXPECT_EQ(plan.replica_users(0, 0), 0u);
+  plan.rollback_to(sp);
+  plan.commit();
+
+  EXPECT_EQ(plan.replica_users(0, 0), 1u);
+  EXPECT_THROW(plan.remove_replica(0, 0), std::runtime_error);
+  EXPECT_TRUE(plan.has_replica(0, 0));
+}
+
+TEST(PlanSavepoint, RolledBackRemoveRestoresSlotAndCount) {
+  const Instance inst = testing::TinyFixture::make(/*deadline=*/5.0);
+  ReplicaPlan plan(inst);
+  plan.place_replica(0, 1);
+  plan.place_replica(0, 0);
+
+  const auto sp = plan.savepoint();
+  plan.remove_replica(0, 1);
+  plan.rollback_to(sp);
+  plan.commit();
+
+  EXPECT_EQ(plan.replica_sites(0), (std::vector<SiteId>{1, 0}));
+  EXPECT_EQ(plan.replica_users(0, 1), 0u);
+  // The restored slot counts users again.
+  plan.assign(0, 0, 1);
+  EXPECT_EQ(plan.replica_users(0, 1), 1u);
+  EXPECT_EQ(plan.replica_users(0, 0), 0u);
+  EXPECT_THROW(plan.remove_replica(0, 1), std::runtime_error);
+  EXPECT_NO_THROW(plan.remove_replica(0, 0));
+}
+
+TEST(PlanSavepoint, CopiedPlanCarriesUserCounts) {
+  const Instance inst = testing::TinyFixture::make(/*deadline=*/5.0);
+  ReplicaPlan plan(inst);
+  plan.place_replica(0, 0);
+  plan.assign(0, 0, 0);
+
+  ReplicaPlan copy = plan;
+  EXPECT_EQ(copy.replica_users(0, 0), 1u);
+  EXPECT_THROW(copy.remove_replica(0, 0), std::runtime_error);
+  copy.unassign(0, 0);
+  EXPECT_NO_THROW(copy.remove_replica(0, 0));
+  // The original keeps its own count.
+  EXPECT_EQ(plan.replica_users(0, 0), 1u);
+  EXPECT_THROW(plan.remove_replica(0, 0), std::runtime_error);
 }
 
 }  // namespace
