@@ -108,7 +108,8 @@ PostmortemReport analyze_journal(const Journal& journal) {
   // journal was built in memory without one).  Any other record naming an
   // id that never arrived is an orphan (a ring journal's dropped prefix, a
   // repair journal, or hostile bytes): it counts toward the totals but
-  // touches no per-query state.  Tables are sized by the records present,
+  // touches no per-query state.  So is a second arrival of an id: the
+  // first arrival keeps the row.  Tables are sized by the records present,
   // never by a count or id a record claims.
   const std::uint64_t id_bound =
       std::max<std::uint64_t>(journal.header.appended, journal.records.size());
@@ -156,6 +157,7 @@ PostmortemReport analyze_journal(const Journal& journal) {
       case RecordKind::kArrival: {
         if (rec.a >= id_bound) break;  // hostile id
         QueryState& qs = *row(rec.a);
+        if (qs.arrived) break;  // a repeated arrival: the first one stands
         qs.arrived = true;
         qs.arrival = rec.time;
         qs.deadline = rec.v0;

@@ -364,6 +364,44 @@ TEST_F(PostmortemTest, HostileArrivalIdIsAnOrphan) {
   EXPECT_TRUE(report.timelines.empty());
 }
 
+TEST_F(PostmortemTest, HostileDuplicateArrivalIsAnOrphan) {
+  // Query 0 arrives at t=0 with deadline 1 and finishes at 0.5; a second
+  // arrival of the same id at t=5 must neither restart its timeline nor
+  // count as an arrival.
+  obs::Recorder rec;
+  rec.configure(obs::RecorderMode::kFull);
+  obs::JournalRecord r;
+  r.time = 0.0;
+  r.v0 = 1.0;  // deadline
+  r.a = 0;
+  r.b = 1;
+  r.kind = static_cast<std::uint8_t>(obs::RecordKind::kArrival);
+  rec.append(r);
+  r = obs::JournalRecord{};
+  r.v0 = 0.5;  // total delay
+  r.a = 0;
+  r.site = 1;
+  r.kind = static_cast<std::uint8_t>(obs::RecordKind::kTransferStart);
+  rec.append(r);
+  r = obs::JournalRecord{};
+  r.time = 5.0;
+  r.v0 = 1.0;
+  r.a = 0;
+  r.b = 1;
+  r.kind = static_cast<std::uint8_t>(obs::RecordKind::kArrival);
+  rec.append(r);
+
+  std::ostringstream os;
+  rec.write(os);
+  const obs::PostmortemReport report = obs::analyze_journal(parse(os.str()));
+  EXPECT_EQ(report.arrivals, 1u);
+  ASSERT_EQ(report.timelines.size(), 1u);
+  EXPECT_EQ(report.timelines[0].arrival, 0.0);
+  EXPECT_EQ(report.timelines[0].completion, 0.5);
+  EXPECT_TRUE(report.timelines[0].admitted);
+  EXPECT_EQ(report.slo.deadline_hits, 1u);
+}
+
 // The three journals below once made analyze_journal allocate tables sized
 // by a field the file only claims (a bad_alloc at any memory limit); each
 // must now give a report.
