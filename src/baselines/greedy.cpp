@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "cloud/delay.h"
+#include "core/admission.h"
 #include "obs/audit.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -106,48 +107,13 @@ BaselineResult run(const Instance& inst, const GreedyOptions& opts) {
       obs::audit_enabled() ? &audit_entries : nullptr;
   BaselineResult res{ReplicaPlan(inst), {}, 0, 0};
   for (const Query& q : inst.queries()) {
-    const std::size_t audit_begin = audit != nullptr ? audit->size() : 0;
-    if (opts.atomic_queries) {
-      const ReplicaPlan::Savepoint sp = res.plan.savepoint();
-      bool all_ok = true;
-      std::size_t di = 0;
-      for (const DatasetDemand& dd : q.demands) {
-        obs::AuditEntry* entry = nullptr;
-        if (audit != nullptr) entry = &audit->emplace_back();
-        if (!admit_demand_greedy(inst, q, dd, res.plan, di, entry)) {
-          all_ok = false;
-          break;
-        }
-        ++di;
-      }
-      if (all_ok) {
-        res.plan.commit();
-        res.demands_assigned += q.demands.size();
-      } else {
-        res.plan.rollback_to(sp);
-        res.plan.commit();
-        res.demands_rejected += q.demands.size();
-        if (audit != nullptr) {
-          // Every sibling admitted before the failing demand was undone.
-          for (std::size_t i = audit_begin; i + 1 < audit->size(); ++i) {
-            (*audit)[i].admitted = false;
-            (*audit)[i].reason = obs::AuditReason::kAtomicRollback;
-          }
-        }
-      }
-    } else {
-      std::size_t di = 0;
-      for (const DatasetDemand& dd : q.demands) {
-        obs::AuditEntry* entry = nullptr;
-        if (audit != nullptr) entry = &audit->emplace_back();
-        if (admit_demand_greedy(inst, q, dd, res.plan, di, entry)) {
-          ++res.demands_assigned;
-        } else {
-          ++res.demands_rejected;
-        }
-        ++di;
-      }
-    }
+    const std::size_t placed = admit_query(
+        q, res.plan, /*duals=*/nullptr, opts.atomic_queries, audit,
+        [&](std::size_t di, obs::AuditEntry* e) {
+          return admit_demand_greedy(inst, q, q.demands[di], res.plan, di, e);
+        });
+    res.demands_assigned += placed;
+    res.demands_rejected += q.demands.size() - placed;
   }
   res.metrics = evaluate(res.plan);
   if (audit != nullptr) {

@@ -34,6 +34,11 @@
 
 namespace edgerep {
 
+/// Weight η of the deadline-tightness term in the site price (DESIGN.md §1).
+inline constexpr double kEtaWeight = 0.25;
+/// Weight μ of the replica-creation surcharge; a fresh replica pays μ/K.
+inline constexpr double kReplicaWeight = 0.5;
+
 /// Struct-of-arrays view of one demand's pruned candidate list.  All three
 /// spans have equal length; entry i describes the i-th deadline-feasible
 /// site in ascending site-id order.
@@ -73,9 +78,9 @@ PricedChoice price_candidates(const CandidateSoA& soa,
                               double eta_weight, double mu_term);
 
 /// Scalar walk over the same mask-backed inputs as the kernel: one candidate
-/// at a time with branchy skips.  Used by the engines' Pricing::kScalar mode
-/// and as the same-inputs equivalence baseline; must stay in lockstep with
-/// price_candidates.
+/// at a time with branchy skips.  Used by the shard engines' Pricing::kScalar
+/// mode and as the same-inputs equivalence baseline; must stay in lockstep
+/// with price_candidates.
 PricedChoice price_candidates_scalar(const CandidateSoA& soa,
                                      const PricingState& state, double need,
                                      double eta_weight, double mu_term);
@@ -95,8 +100,9 @@ struct ReferencePricingState {
 
 /// Reference oracle: the original per-candidate walk, bit-identical to the
 /// kernel by construction (same FP sequence, same strict-< argmin) but with
-/// the plan-shaped replica scan.  This is the speedup denominator committed
-/// in BENCH_throughput.json and the third leg of the equivalence suite.
+/// the plan-shaped replica scan.  Appro's Pricing::kScalar mode runs it;
+/// it is also the speedup denominator committed in BENCH_throughput.json and
+/// the third leg of the equivalence suite.
 PricedChoice price_candidates_reference(const CandidateSoA& soa,
                                         const ReferencePricingState& state,
                                         double need, double eta_weight,

@@ -65,7 +65,7 @@ bool ShardEngine::admit(const Query& q, AdmissionIntent& out) {
   out.query = q.id;
   out.placements.clear();
   const double mu_term =
-      opts_.replica_weight / static_cast<double>(inst_->max_replicas());
+      kReplicaWeight / static_cast<double>(inst_->max_replicas());
 
   bool ok = true;
   for (const DatasetDemand& dd : q.demands) {
@@ -96,9 +96,8 @@ bool ShardEngine::admit(const Query& q, AdmissionIntent& out) {
                              mask_row(dd.dataset), budget_left};
     const PricedChoice ch =
         opts_.pricing == ApproOptions::Pricing::kVectorized
-            ? price_candidates(soa, state, need, opts_.eta_weight, mu_term)
-            : price_candidates_scalar(soa, state, need, opts_.eta_weight,
-                                      mu_term);
+            ? price_candidates(soa, state, need, kEtaWeight, mu_term)
+            : price_candidates_scalar(soa, state, need, kEtaWeight, mu_term);
     if (ch.candidate == PricedChoice::kNoCandidate) {
       ok = false;
       break;

@@ -51,8 +51,6 @@ struct StreamOptions {
   /// Pricing implementation inside each shard (kernel by default; the
   /// scalar oracle is the equivalence baseline).
   ApproOptions::Pricing pricing = ApproOptions::Pricing::kVectorized;
-  double eta_weight = 0.25;     ///< matches ApproOptions::eta_weight
-  double replica_weight = 0.5;  ///< matches ApproOptions::replica_weight
   /// Run phase 1 of each epoch on the global thread pool.
   bool parallel = true;
 };

@@ -19,47 +19,55 @@ struct PendingQuery {
   QueryId query = 0;
 };
 
-/// Outcome of replaying one intent against the live plan + ledger.
-enum class Reconcile : std::uint8_t { kCommitted, kConflict };
-
-/// Phase-2 replay of one shard intent.  Reserve every demand's resource on
-/// the ledger first (pure capacity pre-flight), then re-derive replica
-/// placements against the live plan (another shard may have placed — or
-/// used up the budget for — the same dataset earlier in this epoch), and
-/// only then mutate the plan, which is guaranteed not to throw.
-Reconcile reconcile(const Instance& inst, const AdmissionIntent& intent,
-                    ReplicaPlan& plan, CapacityLedger& ledger,
-                    SiteId* conflict_site) {
+/// Phase-2 replay of one shard intent against the live plan; returns the
+/// conflict site, or kInvalidSite once the intent is committed.  Capacity
+/// is checked for every placement first, against the plan's loads plus this
+/// intent's earlier placements — the same `load += need` sequence the
+/// assigns below run, so they cannot throw.  Each placement that fits counts
+/// as a ledger reservation, and a conflict releases them all.
+SiteId reconcile(const Instance& inst, const AdmissionIntent& intent,
+                 ReplicaPlan& plan, StreamResult& res) {
   const Query& q = inst.query(intent.query);
-  for (const AdmissionIntent::Placement& p : intent.placements) {
-    const double need = inst.dataset(p.dataset).volume * q.rate;
-    if (!ledger.try_reserve(p.site, need)) {
-      *conflict_site = p.site;
-      ledger.release_all();
-      return Reconcile::kConflict;
+  const std::vector<AdmissionIntent::Placement>& ps = intent.placements;
+  auto need = [&](const AdmissionIntent::Placement& p) {
+    return inst.dataset(p.dataset).volume * q.rate;
+  };
+  std::size_t reserved = 0;
+  for (; reserved < ps.size(); ++reserved) {
+    const SiteId s = ps[reserved].site;
+    double load = plan.load(s);
+    for (std::size_t j = 0; j < reserved; ++j) {
+      if (ps[j].site == s) load += need(ps[j]);
+    }
+    if (!(need(ps[reserved]) <=
+          (inst.site(s).available - load) + kCapacityEps)) {
+      break;
     }
   }
+  res.ledger_reserves += reserved;
+  SiteId conflict = reserved < ps.size() ? ps[reserved].site : kInvalidSite;
   // Replica budget re-check against the live plan.  A placement the shard
   // thought was free-riding an existing replica may need a fresh one here
   // (the shard-local replica it saw belonged to a conflict loser), and vice
   // versa.  Demands of one query address distinct datasets, so counting
   // per-placement against the plan is exact.
-  for (const AdmissionIntent::Placement& p : intent.placements) {
-    if (!plan.has_replica(p.dataset, p.site) &&
-        plan.replica_count(p.dataset) >= inst.max_replicas()) {
-      *conflict_site = p.site;
-      ledger.release_all();
-      return Reconcile::kConflict;
+  for (std::size_t i = 0; conflict == kInvalidSite && i < ps.size(); ++i) {
+    if (!plan.has_replica(ps[i].dataset, ps[i].site) &&
+        plan.replica_count(ps[i].dataset) >= inst.max_replicas()) {
+      conflict = ps[i].site;
     }
   }
-  ledger.commit_all();
-  for (const AdmissionIntent::Placement& p : intent.placements) {
+  if (conflict != kInvalidSite) {
+    res.ledger_releases += reserved;
+    return conflict;
+  }
+  for (const AdmissionIntent::Placement& p : ps) {
     if (!plan.has_replica(p.dataset, p.site)) {
       plan.place_replica(p.dataset, p.site);
     }
     plan.assign(intent.query, p.dataset, p.site);
   }
-  return Reconcile::kCommitted;
+  return kInvalidSite;
 }
 
 void record_run_metrics(const StreamResult& res) {
@@ -121,7 +129,6 @@ StreamResult run_stream(const Instance& inst, std::span<const Arrival> stream,
 
   StreamResult res{ReplicaPlan(inst), {}, 0, 0, 0, 0, 0, 0, 0, {}};
   res.shard_stats.resize(shards);
-  CapacityLedger ledger(inst);
   std::vector<std::uint32_t> retries(inst.queries().size(), 0);
 
   std::vector<PendingQuery> requeued;
@@ -227,9 +234,8 @@ StreamResult run_stream(const Instance& inst, std::span<const Arrival> stream,
         for (const AdmissionIntent& intent : shard_intents[sh]) {
           const QueryId m = intent.query;
           step(Kind::kIntent, m, sh, intent.placements.size());
-          SiteId conflict_site = kInvalidSite;
-          if (reconcile(inst, intent, res.plan, ledger, &conflict_site) ==
-              Reconcile::kCommitted) {
+          const SiteId conflict_site = reconcile(inst, intent, res.plan, res);
+          if (conflict_site == kInvalidSite) {
             ++res.queries_admitted;
             ++res.shard_stats[sh].admitted;
             step(Kind::kCommit, m, sh, 0, obs::kNoSite, &intent);
@@ -268,8 +274,6 @@ StreamResult run_stream(const Instance& inst, std::span<const Arrival> stream,
   }
 
   sink.finish();
-  res.ledger_reserves = ledger.reserves();
-  res.ledger_releases = ledger.releases();
   res.metrics = evaluate(res.plan);
   record_run_metrics(res);
   return res;
