@@ -60,7 +60,7 @@ Instance read_instance(std::istream& is) {
   std::vector<PendingSite> sites;
   struct PendingDataset {
     double volume;
-    SiteId origin;
+    SiteId origin = kInvalidSite;
     std::string name;
   };
   std::vector<PendingDataset> datasets;
@@ -106,7 +106,7 @@ Instance read_instance(std::istream& is) {
         fail("malformed site");
       }
       if (id != sites.size()) fail("site ids must be dense");
-      s.node = static_cast<NodeId>(node);
+      if (!narrow_id(node, s.node)) fail("site node out of range");
       sites.push_back(s);
     } else if (kind == "dataset") {
       std::uint64_t id = 0;
@@ -114,9 +114,14 @@ Instance read_instance(std::istream& is) {
       std::string origin;
       if (!(ss >> id >> d.volume >> origin)) fail("malformed dataset");
       if (id != datasets.size()) fail("dataset ids must be dense");
-      d.origin = origin == "-"
-                     ? kInvalidSite
-                     : static_cast<SiteId>(std::stoul(origin));
+      if (origin != "-") {
+        std::istringstream digits(origin);
+        std::uint64_t site = 0;
+        if (!(digits >> site) || !digits.eof()) {
+          fail("malformed dataset origin");
+        }
+        if (!narrow_id(site, d.origin)) fail("dataset origin out of range");
+      }
       std::getline(ss, d.name);
       if (!d.name.empty() && d.name.front() == ' ') d.name.erase(0, 1);
       datasets.push_back(std::move(d));
@@ -129,13 +134,13 @@ Instance read_instance(std::istream& is) {
         fail("malformed query");
       }
       if (id != queries.size()) fail("query ids must be dense");
-      q.home = static_cast<SiteId>(home);
+      if (!narrow_id(home, q.home)) fail("query home out of range");
       for (std::size_t i = 0; i < n; ++i) {
         std::uint64_t ds = 0;
-        double alpha = 0.0;
-        if (!(ss >> ds >> alpha)) fail("query demand list truncated");
-        q.demands.push_back(
-            DatasetDemand{static_cast<DatasetId>(ds), alpha});
+        DatasetDemand dd{};
+        if (!(ss >> ds >> dd.selectivity)) fail("query demand list truncated");
+        if (!narrow_id(ds, dd.dataset)) fail("demanded dataset out of range");
+        q.demands.push_back(dd);
       }
       queries.push_back(std::move(q));
     } else if (kind == "max_replicas") {

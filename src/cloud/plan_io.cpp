@@ -40,20 +40,22 @@ ReplicaPlan read_plan(const Instance& inst, std::istream& is) {
       throw std::runtime_error("read_plan: line " + std::to_string(lineno) +
                                ": " + why);
     };
+    std::uint64_t m = 0;
+    std::uint64_t n = 0;
+    std::uint64_t l = 0;
+    DatasetId dataset = 0;
+    SiteId site = kInvalidSite;
     if (kind == "replica") {
-      std::uint64_t n = 0;
-      std::uint64_t l = 0;
       if (!(ss >> n >> l)) fail("malformed replica line");
       if (n >= inst.datasets().size()) fail("dataset out of range");
-      plan.place_replica(static_cast<DatasetId>(n), static_cast<SiteId>(l));
+      if (!narrow_id(l, site)) fail("site out of range");
+      plan.place_replica(static_cast<DatasetId>(n), site);
     } else if (kind == "assign") {
-      std::uint64_t m = 0;
-      std::uint64_t n = 0;
-      std::uint64_t l = 0;
       if (!(ss >> m >> n >> l)) fail("malformed assign line");
       if (m >= inst.queries().size()) fail("query out of range");
-      plan.assign(static_cast<QueryId>(m), static_cast<DatasetId>(n),
-                  static_cast<SiteId>(l));
+      if (!narrow_id(n, dataset)) fail("dataset out of range");
+      if (!narrow_id(l, site)) fail("site out of range");
+      plan.assign(static_cast<QueryId>(m), dataset, site);
     } else {
       fail("unknown keyword '" + kind + "'");
     }

@@ -294,8 +294,11 @@ FaultTrace read_fault_trace(std::istream& is, const Instance& inst) {
       throw std::runtime_error("fault trace: line " + std::to_string(lineno) +
                                ": unknown kind '" + kind + "'");
     }
-    e.site = site < 0 ? kInvalidSite : static_cast<SiteId>(site);
-    e.edge = edge < 0 ? kInvalidEdge : static_cast<EdgeId>(edge);
+    if ((site >= 0 && !narrow_id(static_cast<std::uint64_t>(site), e.site)) ||
+        (edge >= 0 && !narrow_id(static_cast<std::uint64_t>(edge), e.edge))) {
+      throw std::runtime_error("fault trace: line " + std::to_string(lineno) +
+                               ": site or edge id out of range");
+    }
     trace.events.push_back(e);
   }
   validate_fault_trace(inst, trace);

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "helpers/fixtures.h"
@@ -105,6 +107,27 @@ TEST(FaultGen, ReadValidatesAgainstTheInstance) {
   EXPECT_THROW(read_fault_trace(bad_kind, inst), std::runtime_error);
   std::istringstream out_of_order("2.0 site_down 0 -1 0\n1.0 site_up 0 -1 0\n");
   EXPECT_THROW(read_fault_trace(out_of_order, inst), std::invalid_argument);
+}
+
+// Ids wider than 32 bits must fail with the offending line number instead
+// of wrapping onto a valid site or edge.
+TEST(FaultGen, ReadRejectsIdsThatDoNotFit) {
+  const Instance inst = medium_instance(3);
+  const std::pair<std::string, std::string> cases[] = {
+      {"1.0 site_down 4294967299 -1 0\n", "line 1:"},  // site 3
+      {"0.5 site_down 0 -1 0\n1.0 link_down -1 4294967296 0\n",
+       "line 2:"},  // edge 0
+  };
+  for (const auto& [text, line] : cases) {
+    std::istringstream is(text);
+    try {
+      (void)read_fault_trace(is, inst);
+      ADD_FAILURE() << "accepted:\n" << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(line), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(FaultGen, ConfigRoundTripsAndRejectsUnknownKeys) {
