@@ -378,10 +378,25 @@ TEST(GreedyAtomic, DefaultModeUnchanged) {
   // The paper-faithful default still strands partial queries; atomicity is
   // opt-in and must not leak into the default results.
   const Instance inst = testing::medium_instance(9, /*f_max=*/4);
-  const BaselineResult a = greedy_g(inst);
-  const BaselineResult b = greedy_g(inst, GreedyOptions{});
-  EXPECT_EQ(a.demands_assigned, b.demands_assigned);
-  EXPECT_EQ(a.metrics.assigned_volume, b.metrics.assigned_volume);
+  GreedyOptions atomic_opts;
+  atomic_opts.atomic_queries = true;
+  const BaselineResult def = greedy_g(inst);
+  const BaselineResult atomic = greedy_g(inst, atomic_opts);
+  ASSERT_NE(def.demands_assigned, atomic.demands_assigned)
+      << "seed does not separate the modes";
+  auto partial_queries = [&inst](const ReplicaPlan& plan) {
+    std::size_t partial = 0;
+    for (const Query& q : inst.queries()) {
+      const std::size_t assigned = plan.assigned_demands(q.id);
+      if (assigned > 0 && assigned < q.demands.size()) ++partial;
+    }
+    return partial;
+  };
+  EXPECT_GT(def.metrics.assigned_volume, def.metrics.admitted_volume);
+  EXPECT_GT(partial_queries(def.plan), 0u);
+  EXPECT_NEAR(atomic.metrics.assigned_volume, atomic.metrics.admitted_volume,
+              1e-9);
+  EXPECT_EQ(partial_queries(atomic.plan), 0u);
 }
 
 }  // namespace
