@@ -81,7 +81,7 @@ int usage() {
       "           [--json-out FILE] [--out FILE]\n"
       "           continuous admission: Poisson arrivals batched into\n"
       "           micro-epochs, admitted by region-sharded engines and\n"
-      "           reconciled against the global capacity ledger\n"
+      "           reconciled against the global plan\n"
       "  genfaults --instance FILE --out FILE [--config FILE] [--crashes N]\n"
       "           [--links N] [--degrade N] [--horizon T] [--mttr T] [--seed S]\n"
       "  repair   --instance FILE --faults FILE [--until T] [--full]\n"
