@@ -57,7 +57,7 @@ enum class RecordKind : std::uint8_t {
                        ///< v0=window end time
   kIntent = 9,         ///< phase-1 intent reached reconciliation: a=query,
                        ///< b=shard, arg=placements in the intent
-  kCommit = 10,        ///< intent committed to the ledger: a=query, b=shard
+  kCommit = 10,        ///< intent committed to the plan: a=query, b=shard
   kConflict = 11,      ///< reservation conflict rolled an intent back:
                        ///< a=query, b=shard, site=first losing site
   kRequeue = 12,       ///< conflict loser re-queued: a=query, b=shard,

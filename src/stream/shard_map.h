@@ -6,8 +6,8 @@
 // scan — the admission hot loop's cost — shrinks by roughly the shard count.
 //
 // Boundary sites are shared by every shard: each shard may admit onto them,
-// and the epoch reconciler arbitrates the resulting contention through the
-// global capacity ledger.  BoundaryPolicy::kDataCenters shares the
+// and the epoch reconciler arbitrates the resulting contention against the
+// global plan's loads.  BoundaryPolicy::kDataCenters shares the
 // data-center sites (the big-capacity nodes every region wants to offload
 // to) while cloudlets stay region-private; kNone makes the partition total.
 //
