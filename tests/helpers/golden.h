@@ -148,6 +148,14 @@ inline std::string plan_fp(const ReplicaPlan& plan,
          std::to_string(plan.total_replicas()) + ":" + std::to_string(assigned);
 }
 
+/// Several runs folded into one line: FNV-1a over the runs' fingerprints,
+/// one per line in run order, then the run count.
+inline std::string runs_fp(const std::vector<std::string>& fps) {
+  std::string joined;
+  for (const std::string& fp : fps) joined += fp + '\n';
+  return "runs=" + hex64(fnv1a(joined)) + ":" + std::to_string(fps.size());
+}
+
 /// Every AuditEntry field in log order (doubles as raw bits), FNV-1a.
 inline std::string audit_fp(const std::vector<obs::AuditEntry>& entries) {
   std::ostringstream os;
