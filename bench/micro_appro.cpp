@@ -1,11 +1,10 @@
 // Microbenchmarks of the admission engine hot path: savepoint-based
-// transactional admission (the default) versus the legacy copy-based
-// implementation, for the special (one dataset per query) and general
-// (multi-dataset) cases at three instance sizes.
+// transactional admission for the special (one dataset per query) and
+// general (multi-dataset) cases at three instance sizes, plus the
+// candidate index build.
 //
-// ns/query is reported via counters so the two transaction mechanisms are
-// directly comparable; `tools/bench_json` emits the same matrix as
-// BENCH_appro.json for the perf trajectory.
+// ns/query is reported via counters; `tools/bench_json` emits the same
+// matrix as BENCH_appro.json for the perf trajectory.
 #include <benchmark/benchmark.h>
 
 #include "edgerep/edgerep.h"
@@ -24,15 +23,12 @@ Instance admission_case(std::size_t network, std::size_t queries,
   return generate_instance(cfg, /*seed=*/42);
 }
 
-void run_admission(benchmark::State& state, std::size_t f_max,
-                   ApproOptions::Txn txn) {
+void run_admission(benchmark::State& state, std::size_t f_max) {
   const auto network = static_cast<std::size_t>(state.range(0));
   const auto queries = static_cast<std::size_t>(state.range(1));
   const Instance inst = admission_case(network, queries, f_max);
-  ApproOptions opts;
-  opts.txn = txn;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(appro_g(inst, opts));
+    benchmark::DoNotOptimize(appro_g(inst));
   }
   state.counters["ns/query"] = benchmark::Counter(
       static_cast<double>(queries) * static_cast<double>(state.iterations()),
@@ -40,23 +36,15 @@ void run_admission(benchmark::State& state, std::size_t f_max,
 }
 
 void BM_ApproSpecialSavepoint(benchmark::State& state) {
-  run_admission(state, 1, ApproOptions::Txn::kSavepoint);
-}
-void BM_ApproSpecialCopy(benchmark::State& state) {
-  run_admission(state, 1, ApproOptions::Txn::kCopy);
+  run_admission(state, 1);
 }
 void BM_ApproGeneralSavepoint(benchmark::State& state) {
-  run_admission(state, 5, ApproOptions::Txn::kSavepoint);
-}
-void BM_ApproGeneralCopy(benchmark::State& state) {
-  run_admission(state, 5, ApproOptions::Txn::kCopy);
+  run_admission(state, 5);
 }
 
 #define APPRO_SIZES Args({32, 100})->Args({64, 250})->Args({100, 500})
 BENCHMARK(BM_ApproSpecialSavepoint)->APPRO_SIZES;
-BENCHMARK(BM_ApproSpecialCopy)->APPRO_SIZES;
 BENCHMARK(BM_ApproGeneralSavepoint)->APPRO_SIZES;
-BENCHMARK(BM_ApproGeneralCopy)->APPRO_SIZES;
 #undef APPRO_SIZES
 
 void BM_CandidateIndexBuild(benchmark::State& state) {

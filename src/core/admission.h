@@ -7,8 +7,7 @@
 // item 3), so capacity and replica budget are never stranded on a query
 // that cannot be admitted.  `admit_query` runs it.  Appro-S/G, repair's
 // re-admission, Greedy and local search call it with their own per-demand
-// step.  Appro's Txn::kCopy oracle keeps its own trial-copy loop, because
-// it is the reference the savepoint path is compared against.
+// step.
 #pragma once
 
 #include <cstddef>

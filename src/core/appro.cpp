@@ -106,25 +106,15 @@ bool admit_demand(const Instance& inst, const CandidateIndex& index,
     // Default: replica sites and fresh placements compete on dual price
     // (fresh ones carry the μ surcharge).  The kernel flips the replica list
     // into a byte-mask for one pass over the SoA candidate buffers (O(K)
-    // set/clear instead of a per-candidate list walk); the scalar oracle
-    // walks the list per candidate.  Both are bit-identical by construction
-    // (same FP sequence, same ascending-id visit order).
+    // set/clear instead of a per-candidate list walk).
     const std::vector<SiteId>& reps = plan.replica_sites(dd.dataset);
-    const CandidateSoA cands = index.soa(q.id, di);
-    PricedChoice ch;
-    if (opts.pricing == ApproOptions::Pricing::kVectorized) {
-      mask.set(reps);
-      ch = price_candidates(cands,
-                            {duals.theta_data(), index.avail(), plan.loads(),
-                             mask.bytes(), budget_left},
-                            need, kEtaWeight, mu_term);
-      mask.clear(reps);
-    } else {
-      ch = price_candidates_reference(
-          cands,
-          {duals.theta_data(), index.avail(), plan.loads(), reps, budget_left},
-          need, kEtaWeight, mu_term);
-    }
+    mask.set(reps);
+    const PricedChoice ch = price_candidates(
+        index.soa(q.id, di),
+        {duals.theta_data(), index.avail(), plan.loads(), mask.bytes(),
+         budget_left},
+        need, kEtaWeight, mu_term);
+    mask.clear(reps);
     if (ch.candidate != PricedChoice::kNoCandidate) {
       best_site = ch.site;
       best_needs_replica = ch.needs_replica;
@@ -168,31 +158,6 @@ bool admit_demand(const Instance& inst, const CandidateIndex& index,
   return true;
 }
 
-/// Legacy trial-commit on deep copies (the seed implementation); kept as the
-/// oracle the savepoint path is compared against and as the micro_appro
-/// speedup baseline.  Returns the number of demands placed (all or none).
-std::size_t admit_query_copy(const Instance& inst, const CandidateIndex& index,
-                             const Query& q, ReplicaPlan& plan,
-                             DualState& duals, const ApproOptions& opts,
-                             ReplicaMaskWorkspace& mask,
-                             std::vector<obs::AuditEntry>* audit) {
-  const std::size_t audit_begin = audit != nullptr ? audit->size() : 0;
-  ReplicaPlan trial_plan = plan;
-  DualState trial_duals = duals;
-  for (std::size_t di = 0; di < q.demands.size(); ++di) {
-    obs::AuditEntry* entry = nullptr;
-    if (audit != nullptr) entry = &audit->emplace_back();
-    if (!admit_demand(inst, index, q, di, trial_plan, trial_duals, opts, mask,
-                      entry)) {
-      mark_atomic_rollback(audit, audit_begin);
-      return 0;
-    }
-  }
-  plan = std::move(trial_plan);
-  duals = std::move(trial_duals);
-  return q.demands.size();
-}
-
 ApproResult run_appro(const Instance& inst, const ApproOptions& opts) {
   EDGEREP_TRACE_SCOPE("appro.run");
   if (!inst.finalized()) {
@@ -217,18 +182,14 @@ ApproResult run_appro(const Instance& inst, const ApproOptions& opts) {
     std::vector<QueryId> order(inst.queries().size());
     std::iota(order.begin(), order.end(), QueryId{0});
     order_queries(inst, opts, order);
-    const bool copy =
-        opts.atomic_queries && opts.txn == ApproOptions::Txn::kCopy;
     for (const QueryId m : order) {
       const Query& q = inst.query(m);
-      const std::size_t placed =
-          copy ? admit_query_copy(inst, index, q, res.plan, res.duals, opts,
-                                  mask, audit)
-               : admit_query(q, res.plan, &res.duals, opts.atomic_queries,
-                             audit, [&](std::size_t di, obs::AuditEntry* e) {
-                               return admit_demand(inst, index, q, di, res.plan,
-                                                   res.duals, opts, mask, e);
-                             });
+      const std::size_t placed = admit_query(
+          q, res.plan, &res.duals, opts.atomic_queries, audit,
+          [&](std::size_t di, obs::AuditEntry* e) {
+            return admit_demand(inst, index, q, di, res.plan, res.duals, opts,
+                                mask, e);
+          });
       res.demands_assigned += placed;
       res.demands_rejected += q.demands.size() - placed;
       ++(placed == q.demands.size() ? queries_admitted : queries_rejected);

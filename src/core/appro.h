@@ -49,30 +49,11 @@ struct ApproOptions {
   /// never stranded on queries that can't be admitted — objective (1) only
   /// credits fully admitted queries.  The paper's Algorithm 2 literally
   /// invokes the Appro-S step once per demand with no rollback; set false
-  /// for that behaviour.  The ABL-ORDER/ABL-REUSE benches run the default
-  /// only; tests/core/appro_test.cpp and the plans/appro_*/non_atomic
-  /// goldens cover the per-demand mode.
+  /// for that behaviour.  The transaction runs in place under plan and
+  /// dual savepoints (admit_query, core/admission.h).  The ABL-ORDER/
+  /// ABL-REUSE benches run the default only; tests/core/appro_test.cpp and
+  /// the plans/appro_*/non_atomic goldens cover the per-demand mode.
   bool atomic_queries = true;
-
-  /// Pricing implementation for the default (joint) admission scan.
-  /// kVectorized (default) prices a demand's whole candidate list in one
-  /// branch-light pass over the CandidateIndex's struct-of-arrays buffers
-  /// with a replica byte-mask; kScalar runs price_candidates_reference, the
-  /// per-candidate walk over the plan's replica list kept as the
-  /// equivalence oracle — both produce bit-identical plans (same winner,
-  /// same price, ties broken by candidate order).  The strict_reuse ablation
-  /// always uses its own scalar scan.
-  enum class Pricing : std::uint8_t { kVectorized, kScalar };
-  Pricing pricing = Pricing::kVectorized;
-
-  /// Mechanism behind atomic_queries.  kSavepoint (default) mutates the
-  /// plan and duals in place and rolls back rejected queries through the
-  /// undo log (admit_query, core/admission.h) — no per-query state
-  /// copies.  kCopy is the legacy trial-copy-then-swap implementation; it
-  /// produces bit-identical results and is kept only for the equivalence
-  /// tests and as the micro_appro speedup baseline.
-  enum class Txn : std::uint8_t { kSavepoint, kCopy };
-  Txn txn = Txn::kSavepoint;
 
   std::uint64_t seed = 0x5eed;  ///< used only by Order::kRandom
 };

@@ -31,7 +31,7 @@ inline void portable_scan(const SiteId* sites, const double* inv,
   for (std::size_t i = begin; i < end; ++i) {
     const SiteId s = sites[i];
     const double has = static_cast<double>(replica[s]);
-    // Same FP sequence as the scalar walk: θ + need·inv + η·dod, then a
+    // Same FP sequence as the reference walk: θ + need·inv + η·dod, then a
     // conditional μ surcharge.  `has` selects between +μ and +0.0; adding
     // 0.0 to a non-negative finite price keeps its bits, so the branchy
     // `if (!has) p += μ` and this select agree exactly.
@@ -172,31 +172,6 @@ PricedChoice price_candidates(const CandidateSoA& soa,
     best.site = s;
     best.price = best_price;
     best.needs_replica = replica[s] == 0;
-  }
-  return best;
-}
-
-PricedChoice price_candidates_scalar(const CandidateSoA& soa,
-                                     const PricingState& state, double need,
-                                     double eta_weight, double mu_term) {
-  const std::size_t n = soa.size();
-  PricedChoice best;
-  double best_price = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < n; ++i) {
-    const SiteId s = soa.site[i];
-    const bool has = state.replica[s] != 0;
-    if (!has && !state.budget_left) continue;
-    if (!(need <= (state.avail[s] - state.load[s]) + kCapacityEps)) continue;
-    double p = state.theta[s] + need * soa.inv_avail[i] +
-               eta_weight * soa.dod[i];
-    if (!has) p += mu_term;
-    if (p < best_price) {
-      best_price = p;
-      best.candidate = i;
-      best.site = s;
-      best.price = p;
-      best.needs_replica = !has;
-    }
   }
   return best;
 }

@@ -6,20 +6,19 @@
 //
 // and the admission step is an argmin over the pruned candidate list with
 // feasibility masking (existing replica or budget left, residual capacity
-// fits).  The scalar path walks the candidates as an array of structs and
-// asks the plan per candidate (`has_replica` is a linear scan of the replica
-// list, `fits` a call chain); this kernel instead lays the static factors
-// out as struct-of-arrays (site ids, capacity reciprocals, η bases) and
-// computes every candidate's price in one branch-light pass over contiguous
-// buffers, gathering only the dynamic state (θ, committed load, a replica
-// byte-mask) by site id.
+// fits).  The reference oracle walks the candidates one at a time and asks
+// the plan's replica list per candidate (`has_replica` is a linear scan);
+// this kernel instead lays the static factors out as struct-of-arrays (site
+// ids, capacity reciprocals, η bases) and computes every candidate's price
+// in one branch-light pass over contiguous buffers, gathering only the
+// dynamic state (θ, committed load, a replica byte-mask) by site id.
 //
-// Equivalence contract: the kernel performs *exactly* the scalar path's
+// Equivalence contract: the kernel performs *exactly* the reference's
 // floating-point operations in the same order — `θ + need·inv + η·dod`, a
 // conditional `+ μ` (adding 0.0 keeps bits: every term is ≥ 0), and the
 // `fits` comparison against `(available − load) + kCapacityEps` — and its
 // strict `<` argmin visits candidates in the same ascending-site order, so
-// winner and price are bit-identical to the scalar oracle, ties broken by
+// winner and price are bit-identical to the reference, ties broken by
 // candidate order.  tests/core/pricing_test.cpp pins this over randomized
 // instances; bench/micro_stream.cpp measures the speedup.
 #pragma once
@@ -77,14 +76,6 @@ PricedChoice price_candidates(const CandidateSoA& soa,
                               const PricingState& state, double need,
                               double eta_weight, double mu_term);
 
-/// Scalar walk over the same mask-backed inputs as the kernel: one candidate
-/// at a time with branchy skips.  Used by the shard engines' Pricing::kScalar
-/// mode and as the same-inputs equivalence baseline; must stay in lockstep
-/// with price_candidates.
-PricedChoice price_candidates_scalar(const CandidateSoA& soa,
-                                     const PricingState& state, double need,
-                                     double eta_weight, double mu_term);
-
 /// Inputs of the reference oracle — the pre-kernel `site_price` walk, which
 /// asked the *plan* per candidate: replica membership is a linear scan of
 /// the demanded dataset's replica site list (`ReplicaPlan::has_replica`),
@@ -100,9 +91,9 @@ struct ReferencePricingState {
 
 /// Reference oracle: the original per-candidate walk, bit-identical to the
 /// kernel by construction (same FP sequence, same strict-< argmin) but with
-/// the plan-shaped replica scan.  Appro's Pricing::kScalar mode runs it;
-/// it is also the speedup denominator committed in BENCH_throughput.json and
-/// the third leg of the equivalence suite.
+/// the plan-shaped replica scan.  It is the oracle of the randomized
+/// bit-identity suite and the speedup denominator committed in
+/// BENCH_throughput.json; no admission path runs it.
 PricedChoice price_candidates_reference(const CandidateSoA& soa,
                                         const ReferencePricingState& state,
                                         double need, double eta_weight,

@@ -5,11 +5,10 @@
 namespace edgerep {
 
 ShardEngine::ShardEngine(const Instance& inst, const ShardMap& map,
-                         std::uint32_t shard, const StreamOptions& opts)
+                         std::uint32_t shard)
     : inst_(&inst),
       map_(&map),
       shard_(shard),
-      opts_(opts),
       num_sites_(inst.sites().size()),
       duals_(inst) {
   local_load_.assign(num_sites_, 0.0);
@@ -39,8 +38,8 @@ void ShardEngine::begin_epoch(const ReplicaPlan& plan) {
   epoch_pending_.clear();
 
   // Bit-exact load snapshot: these values were produced by the same `+=`
-  // sequence this shard replays locally, so copying them preserves the
-  // scalar-path equivalence of every subsequent capacity comparison.
+  // sequence this shard replays locally, so copying them keeps every
+  // subsequent capacity comparison bit-exact.
   const std::span<const double> loads = plan.loads();
   std::copy(loads.begin(), loads.end(), local_load_.begin());
 
@@ -95,9 +94,7 @@ bool ShardEngine::admit(const Query& q, AdmissionIntent& out) {
     const PricingState state{duals_.theta_data(), avail_, local_load_,
                              mask_row(dd.dataset), budget_left};
     const PricedChoice ch =
-        opts_.pricing == ApproOptions::Pricing::kVectorized
-            ? price_candidates(soa, state, need, kEtaWeight, mu_term)
-            : price_candidates_scalar(soa, state, need, kEtaWeight, mu_term);
+        price_candidates(soa, state, need, kEtaWeight, mu_term);
     if (ch.candidate == PricedChoice::kNoCandidate) {
       ok = false;
       break;

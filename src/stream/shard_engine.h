@@ -31,29 +31,11 @@
 
 #include "cloud/instance.h"
 #include "cloud/plan.h"
-#include "core/appro.h"
 #include "core/pricing.h"
 #include "core/primal_dual.h"
 #include "stream/shard_map.h"
 
 namespace edgerep {
-
-/// Knobs of the streaming admission plane (shared by ShardEngine and
-/// run_stream).
-struct StreamOptions {
-  std::size_t shards = 1;
-  /// Micro-epoch length in seconds of arrival time.
-  double epoch_length = 0.05;
-  /// How many times a reconcile-conflict loser is re-queued before it is
-  /// rejected for good.
-  std::size_t max_requeues = 2;
-  BoundaryPolicy boundary = BoundaryPolicy::kNone;
-  /// Pricing implementation inside each shard (kernel by default; the
-  /// scalar oracle is the equivalence baseline).
-  ApproOptions::Pricing pricing = ApproOptions::Pricing::kVectorized;
-  /// Run phase 1 of each epoch on the global thread pool.
-  bool parallel = true;
-};
 
 /// A shard's committed phase-1 decision for one query: where each demand
 /// should run and whether the shard believes a fresh replica is required
@@ -70,8 +52,7 @@ struct AdmissionIntent {
 
 class ShardEngine {
  public:
-  ShardEngine(const Instance& inst, const ShardMap& map, std::uint32_t shard,
-              const StreamOptions& opts);
+  ShardEngine(const Instance& inst, const ShardMap& map, std::uint32_t shard);
 
   /// Freeze the global plan for this epoch: snapshot its load ledger, clear
   /// last epoch's pending replica bits, and fold newly committed replica
@@ -95,7 +76,6 @@ class ShardEngine {
   const Instance* inst_;
   const ShardMap* map_;
   std::uint32_t shard_;
-  StreamOptions opts_;
   std::size_t num_sites_;
 
   DualState duals_;

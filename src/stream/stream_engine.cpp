@@ -115,7 +115,7 @@ StreamResult run_stream(const Instance& inst, std::span<const Arrival> stream,
   std::vector<ShardEngine> engines;
   engines.reserve(shards);
   for (std::uint32_t sh = 0; sh < shards; ++sh) {
-    engines.emplace_back(inst, map, sh, opts);
+    engines.emplace_back(inst, map, sh);
   }
 
   // Causal steps go to one sink (obs/causal_sink.h), and only from the

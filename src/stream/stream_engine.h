@@ -35,6 +35,19 @@
 
 namespace edgerep {
 
+/// Knobs of the streaming admission plane.
+struct StreamOptions {
+  std::size_t shards = 1;
+  /// Micro-epoch length in seconds of arrival time.
+  double epoch_length = 0.05;
+  /// How many times a reconcile-conflict loser is re-queued before it is
+  /// rejected for good.
+  std::size_t max_requeues = 2;
+  BoundaryPolicy boundary = BoundaryPolicy::kNone;
+  /// Run phase 1 of each epoch on the global thread pool.
+  bool parallel = true;
+};
+
 /// Per-shard accounting of one streaming run.
 struct ShardStats {
   std::size_t routed = 0;     ///< queries routed to this shard (incl. retries)

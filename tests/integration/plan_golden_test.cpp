@@ -112,15 +112,8 @@ TEST_F(PlanGolden, ApproEngineVariants) {
   non_atomic.atomic_queries = false;
   ApproOptions strict;
   strict.strict_reuse = true;
-  ApproOptions scalar;
-  scalar.pricing = ApproOptions::Pricing::kScalar;
-  ApproOptions copy;
-  copy.txn = ApproOptions::Txn::kCopy;
   const std::vector<std::pair<std::string, ApproOptions>> variants = {
-      {"non_atomic", non_atomic},
-      {"strict_reuse", strict},
-      {"scalar", scalar},
-      {"copy", copy}};
+      {"non_atomic", non_atomic}, {"strict_reuse", strict}};
   for (const auto& [name, opts] : variants) {
     testing::expect_golden("plans/appro_s/" + name,
                            appro_fp(appro_s(single, opts)));

@@ -76,7 +76,7 @@ int usage() {
       "           scrapers can read the final state\n"
       "  stream   --instance FILE [--shards N] [--epoch-ms MS]\n"
       "           [--arrival-rate R] [--seed S] [--max-requeues N]\n"
-      "           [--boundary none|dc] [--scalar-pricing] [--serial]\n"
+      "           [--boundary none|dc] [--serial]\n"
       "           [--id-order] [--wave-amplitude A] [--wave-period T]\n"
       "           [--json-out FILE] [--out FILE]\n"
       "           continuous admission: Poisson arrivals batched into\n"
@@ -586,9 +586,6 @@ int cmd_stream(const Args& args) {
   opts.max_requeues =
       static_cast<std::size_t>(args.get_int("max-requeues", 2));
   opts.parallel = !args.get_bool("serial", false);
-  if (args.get_bool("scalar-pricing", false)) {
-    opts.pricing = ApproOptions::Pricing::kScalar;
-  }
   const std::string boundary = args.get("boundary", "none");
   if (boundary == "dc") {
     opts.boundary = BoundaryPolicy::kDataCenters;
