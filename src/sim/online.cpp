@@ -16,6 +16,7 @@
 #include "net/routes.h"
 #include "obs/causal_sink.h"
 #include "obs/metrics.h"
+#include "sim/arrivals.h"
 #include "sim/event_kernel.h"
 #include "sim/flows.h"
 #include "util/rng.h"
@@ -144,21 +145,10 @@ class OnlineArrivalStream {
   /// Next arrival in instance order; false when the horizon is exhausted.
   bool next(double* time, QueryId* query) {
     if (remaining_ == 0) return false;
-    double gap = mode_ == OnlineConfig::Arrivals::kPoisson
-                     ? rng_.exponential(rate_)
-                     : 1.0 / rate_;
-    // Diurnal wave: divide the base gap by the instantaneous rate
-    // modulation at the current phase.  The Rng draw sequence is identical
-    // either way, and the branch is skipped entirely when the wave is off,
-    // so amplitude == 0 reproduces historical arrival times bit for bit.
-    if (wave_amplitude_ > 0.0 && wave_period_ > 0.0) {
-      constexpr double kTwoPi = 6.283185307179586476925286766559;
-      double mod =
-          1.0 + wave_amplitude_ * std::sin(kTwoPi * clock_ / wave_period_);
-      if (mod < 0.05) mod = 0.05;
-      gap /= mod;
-    }
-    clock_ += gap;
+    const double gap = mode_ == OnlineConfig::Arrivals::kPoisson
+                           ? rng_.exponential(rate_)
+                           : 1.0 / rate_;
+    clock_ += wave_gap(gap, clock_, wave_amplitude_, wave_period_);
     *time = clock_;
     *query = next_id_++;
     --remaining_;
@@ -325,9 +315,8 @@ OnlineResult run_online(const Instance& inst, const OnlineConfig& cfg,
   if (!inst.finalized()) {
     throw std::invalid_argument("run_online: instance not finalized");
   }
-  if (cfg.arrival_rate <= 0.0) {
-    throw std::invalid_argument("run_online: arrival rate must be positive");
-  }
+  check_arrival_params("run_online", cfg.arrival_rate, cfg.wave_amplitude,
+                       cfg.wave_period);
   if (!(cfg.oversubscription >= 0.0) ||
       !std::isfinite(cfg.oversubscription)) {
     throw std::invalid_argument(

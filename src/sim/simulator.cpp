@@ -14,6 +14,7 @@
 #include "net/shortest_path.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sim/arrivals.h"
 #include "sim/event_kernel.h"
 #include "sim/flows.h"
 #include "util/rng.h"
@@ -267,6 +268,9 @@ SimReport simulate(const ReplicaPlan& plan, const SimConfig& cfg) {
   ProcessorSharingEngine processor_sharing(queue, results, tasks, capacity);
 
   // Issue times.
+  if (cfg.arrivals != SimConfig::Arrivals::kAllAtOnce) {
+    check_arrival_params("simulate", cfg.arrival_rate);
+  }
   double clock = 0.0;
   for (const Query& q : inst.queries()) {
     switch (cfg.arrivals) {

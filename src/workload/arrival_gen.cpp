@@ -1,10 +1,10 @@
 #include "workload/arrival_gen.h"
 
-#include <cmath>
 #include <span>
 #include <stdexcept>
 
 #include "net/topology.h"
+#include "sim/arrivals.h"
 #include "util/rng.h"
 
 namespace edgerep {
@@ -17,9 +17,8 @@ std::vector<Arrival> generate_arrival_stream(const Instance& inst, double rate,
   if (!inst.finalized()) {
     throw std::invalid_argument("generate_arrival_stream: not finalized");
   }
-  if (!(rate > 0.0)) {
-    throw std::invalid_argument("generate_arrival_stream: rate must be > 0");
-  }
+  check_arrival_params("generate_arrival_stream", rate, wave_amplitude,
+                       wave_period);
   const std::size_t n = inst.queries().size();
   std::vector<QueryId> ids(n);
   for (QueryId m = 0; m < n; ++m) ids[m] = m;
@@ -27,21 +26,11 @@ std::vector<Arrival> generate_arrival_stream(const Instance& inst, double rate,
     Rng shuffle_rng(derive_seed(seed, 1));
     shuffle_rng.shuffle(std::span<QueryId>(ids));
   }
-  const bool wave = wave_amplitude > 0.0 && wave_period > 0.0;
   Rng gap_rng(derive_seed(seed, 2));
   std::vector<Arrival> stream(n);
   double t = 0.0;
   for (std::size_t k = 0; k < n; ++k) {
-    double gap = gap_rng.exponential(rate);
-    if (wave) {
-      // Same diurnal modulation as OnlineArrivalStream::next — the gap draw
-      // above is unchanged, so amplitude 0 keeps historical streams exact.
-      constexpr double kTwoPi = 6.283185307179586476925286766559;
-      double mod = 1.0 + wave_amplitude * std::sin(kTwoPi * t / wave_period);
-      if (mod < 0.05) mod = 0.05;
-      gap /= mod;
-    }
-    t += gap;
+    t += wave_gap(gap_rng.exponential(rate), t, wave_amplitude, wave_period);
     stream[k] = {t, ids[k]};
   }
   return stream;

@@ -40,9 +40,11 @@ enum class ArrivalOrder : std::uint8_t {
 ///
 /// `wave_amplitude` / `wave_period` (both > 0 to engage) superimpose a
 /// diurnal wave on the rate: each gap is divided by
-/// 1 + amplitude·sin(2π·t / period), clamped at 0.05, the same modulation
-/// OnlineArrivalStream applies.  The Rng draw sequence is identical either
-/// way, so the defaults reproduce every existing stream bit for bit.
+/// 1 + amplitude·sin(2π·t / period), clamped at 0.05 — run_online's
+/// modulation (wave_gap, sim/arrivals.h).  The Rng draw sequence is
+/// identical either way, so the defaults reproduce every existing stream
+/// bit for bit.  Throws std::invalid_argument unless the rate is finite and
+/// > 0 and both wave knobs are finite and >= 0.
 std::vector<Arrival> generate_arrival_stream(
     const Instance& inst, double rate, std::uint64_t seed,
     ArrivalOrder order = ArrivalOrder::kShuffled, double wave_amplitude = 0.0,

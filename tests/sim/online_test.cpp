@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "core/appro.h"
@@ -130,6 +132,29 @@ TEST(Online, BadRateThrows) {
   OnlineConfig cfg;
   cfg.arrival_rate = 0.0;
   EXPECT_THROW(run_online(inst, cfg), std::invalid_argument);
+}
+
+TEST(Online, NonFiniteArrivalParametersThrow) {
+  const Instance inst = TinyFixture::make();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::nan("");
+  for (const double rate : {kInf, nan}) {
+    OnlineConfig cfg;
+    cfg.arrival_rate = rate;
+    EXPECT_THROW(run_online(inst, cfg), std::invalid_argument) << rate;
+  }
+  for (const double knob : {kInf, nan, -1.0}) {
+    OnlineConfig amp;
+    amp.wave_amplitude = knob;
+    amp.wave_period = 5.0;
+    EXPECT_THROW(run_online(inst, amp), std::invalid_argument)
+        << "amplitude " << knob;
+    OnlineConfig per;
+    per.wave_amplitude = 0.5;
+    per.wave_period = knob;
+    EXPECT_THROW(run_online(inst, per), std::invalid_argument)
+        << "period " << knob;
+  }
 }
 
 // --- deadline-SLO rollup ----------------------------------------------------

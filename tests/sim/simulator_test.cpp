@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+
 #include "core/appro.h"
 #include "helpers/fixtures.h"
 
@@ -153,6 +157,25 @@ TEST(Simulator, UniformArrivalsSpacedByRate) {
   EXPECT_NEAR(rep.outcomes[0].issue_time, 0.5, 1e-9);
   EXPECT_NEAR(rep.outcomes[1].issue_time, 1.0, 1e-9);
   EXPECT_NEAR(rep.outcomes[2].issue_time, 1.5, 1e-9);
+}
+
+TEST(Simulator, BadArrivalRateThrowsWhenGapsUseIt) {
+  const Instance inst = three_query_instance();
+  const ReplicaPlan plan = assign_all(inst);
+  for (const SimConfig::Arrivals mode :
+       {SimConfig::Arrivals::kPoisson, SimConfig::Arrivals::kUniform}) {
+    for (const double rate : {0.0, -1.0, std::nan(""),
+                              std::numeric_limits<double>::infinity()}) {
+      SimConfig cfg;
+      cfg.arrivals = mode;
+      cfg.arrival_rate = rate;
+      EXPECT_THROW(simulate(plan, cfg), std::invalid_argument) << rate;
+    }
+  }
+  // All-at-once arrivals draw no gaps, so the rate is never read.
+  SimConfig cfg = all_at_once();
+  cfg.arrival_rate = -1.0;
+  EXPECT_EQ(simulate(plan, cfg).served_queries, 3u);
 }
 
 TEST(Simulator, SimAgreesWithStaticModelAtFullCapacity) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "helpers/fixtures.h"
@@ -83,6 +86,26 @@ TEST(ArrivalGen, RejectsBadInputs) {
   EXPECT_THROW(generate_arrival_stream(inst, -1.0, 1), std::invalid_argument);
   Instance raw;
   EXPECT_THROW(generate_arrival_stream(raw, 10.0, 1), std::invalid_argument);
+}
+
+TEST(ArrivalGen, RejectsNonFiniteRateAndWave) {
+  const Instance inst = medium_instance(7);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::nan("");
+  for (const double rate : {kInf, nan}) {
+    EXPECT_THROW(generate_arrival_stream(inst, rate, 1), std::invalid_argument)
+        << rate;
+  }
+  for (const double knob : {kInf, nan, -1.0}) {
+    EXPECT_THROW(generate_arrival_stream(inst, 10.0, 1,
+                                         ArrivalOrder::kShuffled, knob, 5.0),
+                 std::invalid_argument)
+        << "amplitude " << knob;
+    EXPECT_THROW(generate_arrival_stream(inst, 10.0, 1,
+                                         ArrivalOrder::kShuffled, 0.5, knob),
+                 std::invalid_argument)
+        << "period " << knob;
+  }
 }
 
 TEST(ArrivalGen, StreamInstanceBuildsSmallFinalizedWorkload) {
