@@ -18,14 +18,6 @@ struct Field {
   std::function<void(WorkloadConfig&, double)> set;
 };
 
-std::size_t to_count(double v, const char* key) {
-  if (v < 0.0 || v != std::floor(v)) {
-    throw std::runtime_error(std::string("config: ") + key +
-                             " must be a non-negative integer");
-  }
-  return static_cast<std::size_t>(v);
-}
-
 const std::vector<Field>& fields() {
   auto range_fields = [](const char* lo_key, const char* hi_key,
                          Range WorkloadConfig::*member,
@@ -44,7 +36,7 @@ const std::vector<Field>& fields() {
                    return static_cast<double>(c.network_size);
                  },
                  [](WorkloadConfig& c, double v) {
-                   c.network_size = to_count(v, "network_size");
+                   c.network_size = config_count(v, "network_size");
                  }});
     f.push_back({"topology.link_prob",
                  [](const WorkloadConfig& c) { return c.topology.link_prob; },
@@ -83,7 +75,7 @@ const std::vector<Field>& fields() {
                      return static_cast<double>(c.*member);
                    },
                    [member, key](WorkloadConfig& c, double v) {
-                     c.*member = to_count(v, key);
+                     c.*member = config_count(v, key);
                    }});
     };
     count_field("min_datasets", &WorkloadConfig::min_datasets);
@@ -107,7 +99,7 @@ const Field& find_field(const std::string& key) {
   for (const Field& f : fields()) {
     if (key == f.key) return f;
   }
-  throw std::runtime_error("config: unknown key '" + key + "'");
+  throw std::runtime_error("unknown key '" + key + "'");
 }
 
 }  // namespace
@@ -137,40 +129,59 @@ void write_workload_config(std::ostream& os, const WorkloadConfig& cfg) {
 
 WorkloadConfig read_workload_config(std::istream& is) {
   WorkloadConfig cfg;
+  read_config_lines(is, "config", [&cfg](const std::string& key, double v) {
+    set_field(cfg, key, v);
+  });
+  return cfg;
+}
+
+void read_config_lines(
+    std::istream& is, const std::string& prefix,
+    const std::function<void(const std::string&, double)>& set) {
+  auto trim = [](const std::string& s) {
+    const auto a = s.find_first_not_of(" \t");
+    const auto b = s.find_last_not_of(" \t");
+    return a == std::string::npos ? std::string{} : s.substr(a, b - a + 1);
+  };
   std::string line;
   std::size_t lineno = 0;
   while (std::getline(is, line)) {
     ++lineno;
     const auto hash = line.find('#');
     if (hash != std::string::npos) line.resize(hash);
-    // Trim and skip blank lines.
-    const auto begin = line.find_first_not_of(" \t");
-    if (begin == std::string::npos) continue;
+    if (line.find_first_not_of(" \t") == std::string::npos) continue;
+    const std::string at = prefix + ": line " + std::to_string(lineno) + ": ";
     const auto eq = line.find('=');
     if (eq == std::string::npos) {
-      throw std::runtime_error("config: line " + std::to_string(lineno) +
-                               ": expected 'key = value'");
+      throw std::runtime_error(at + "expected 'key = value'");
     }
-    auto trim = [](std::string s) {
-      const auto a = s.find_first_not_of(" \t");
-      const auto b = s.find_last_not_of(" \t");
-      return a == std::string::npos ? std::string{} : s.substr(a, b - a + 1);
-    };
     const std::string key = trim(line.substr(0, eq));
     const std::string value = trim(line.substr(eq + 1));
+    double v = 0.0;
     try {
       std::size_t pos = 0;
-      const double v = std::stod(value, &pos);
+      v = std::stod(value, &pos);
       if (pos != value.size()) throw std::invalid_argument(value);
-      set_field(cfg, key, v);
-    } catch (const std::runtime_error&) {
-      throw;  // unknown key / bad count: keep the specific message
-    } catch (const std::exception&) {
-      throw std::runtime_error("config: line " + std::to_string(lineno) +
-                               ": malformed value '" + value + "'");
+    } catch (const std::logic_error&) {  // invalid_argument, out_of_range
+      throw std::runtime_error(at + "malformed value '" + value + "'");
+    }
+    if (!std::isfinite(v)) {
+      throw std::runtime_error(at + "value '" + value + "' is not finite");
+    }
+    try {
+      set(key, v);
+    } catch (const std::runtime_error& e) {  // unknown key, bad count
+      throw std::runtime_error(at + e.what());
     }
   }
-  return cfg;
+}
+
+std::size_t config_count(double v, const char* key) {
+  if (!(v >= 0.0 && v <= 0x1p53) || v != std::floor(v)) {
+    throw std::runtime_error(std::string(key) +
+                             " must be an integer in [0, 2^53]");
+  }
+  return static_cast<std::size_t>(v);
 }
 
 }  // namespace edgerep

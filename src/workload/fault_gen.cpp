@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "util/rng.h"
+#include "workload/config_io.h"
 
 namespace edgerep {
 
@@ -22,14 +23,6 @@ struct Field {
   std::function<double(const FaultScenarioConfig&)> get;
   std::function<void(FaultScenarioConfig&, double)> set;
 };
-
-std::size_t to_count(double v, const char* key) {
-  if (v < 0.0 || v != std::floor(v)) {
-    throw std::runtime_error(std::string("fault config: ") + key +
-                             " must be a non-negative integer");
-  }
-  return static_cast<std::size_t>(v);
-}
 
 const std::vector<Field>& fields() {
   static const std::vector<Field> kFields = [] {
@@ -44,7 +37,7 @@ const std::vector<Field>& fields() {
                      return static_cast<double>(c.*member);
                    },
                    [member, key](FaultScenarioConfig& c, double v) {
-                     c.*member = to_count(v, key);
+                     c.*member = config_count(v, key);
                    }});
     };
     count_field("site_crashes", &FaultScenarioConfig::site_crashes);
@@ -81,7 +74,7 @@ const Field& find_field(const std::string& key) {
   for (const Field& f : fields()) {
     if (key == f.key) return f;
   }
-  throw std::runtime_error("fault config: unknown key '" + key + "'");
+  throw std::runtime_error("unknown key '" + key + "'");
 }
 
 /// Indices of the sites a scenario may crash or degrade.
@@ -132,38 +125,10 @@ void write_fault_config(std::ostream& os, const FaultScenarioConfig& cfg) {
 
 FaultScenarioConfig read_fault_config(std::istream& is) {
   FaultScenarioConfig cfg;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(is, line)) {
-    ++lineno;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    const auto begin = line.find_first_not_of(" \t");
-    if (begin == std::string::npos) continue;
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) {
-      throw std::runtime_error("fault config: line " + std::to_string(lineno) +
-                               ": expected 'key = value'");
-    }
-    auto trim = [](std::string s) {
-      const auto a = s.find_first_not_of(" \t");
-      const auto b = s.find_last_not_of(" \t");
-      return a == std::string::npos ? std::string{} : s.substr(a, b - a + 1);
-    };
-    const std::string key = trim(line.substr(0, eq));
-    const std::string value = trim(line.substr(eq + 1));
-    try {
-      std::size_t pos = 0;
-      const double v = std::stod(value, &pos);
-      if (pos != value.size()) throw std::invalid_argument(value);
-      set_fault_field(cfg, key, v);
-    } catch (const std::runtime_error&) {
-      throw;  // unknown key / bad count: keep the specific message
-    } catch (const std::exception&) {
-      throw std::runtime_error("fault config: line " + std::to_string(lineno) +
-                               ": malformed value '" + value + "'");
-    }
-  }
+  read_config_lines(is, "fault config",
+                    [&cfg](const std::string& key, double v) {
+                      set_fault_field(cfg, key, v);
+                    });
   return cfg;
 }
 

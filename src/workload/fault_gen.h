@@ -49,8 +49,9 @@ struct FaultScenarioConfig {
 /// All tunable keys, e.g. "horizon", "loss_fraction.lo".
 std::vector<std::string> fault_config_keys();
 
-/// "key = value" serialization, same format and strictness as the workload
-/// config (workload/config_io.h): unknown keys are rejected on read.
+/// "key = value" serialization, read by the workload config's line reader
+/// (read_config_lines, workload/config_io.h) with errors prefixed
+/// "fault config: line N:".
 void write_fault_config(std::ostream& os, const FaultScenarioConfig& cfg);
 FaultScenarioConfig read_fault_config(std::istream& is);
 

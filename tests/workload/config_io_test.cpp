@@ -4,6 +4,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace edgerep {
 namespace {
@@ -66,6 +67,29 @@ TEST(ConfigIo, MalformedValueThrows) {
 TEST(ConfigIo, CountFieldsRejectFractions) {
   std::istringstream is("max_replicas = 2.5\n");
   EXPECT_THROW(read_workload_config(is), std::runtime_error);
+}
+
+TEST(ConfigIo, RejectsNonFiniteValuesAndInexactCounts) {
+  auto error = [](const std::string& text) {
+    std::istringstream is(text);
+    try {
+      (void)read_workload_config(is);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  EXPECT_EQ(error("network_size = 40\ntopology.metro_delay.lo = nan\n"),
+            "config: line 2: value 'nan' is not finite");
+  EXPECT_EQ(error("dc_capacity.hi = inf\n"),
+            "config: line 1: value 'inf' is not finite");
+  // 2^54: an integer, but past the range where a double holds them all.
+  EXPECT_EQ(error("max_replicas = 18014398509481984\n"),
+            "config: line 1: max_replicas must be an integer in [0, 2^53]");
+  EXPECT_EQ(error("min_queries = 1e30\n"),
+            "config: line 1: min_queries must be an integer in [0, 2^53]");
+  std::istringstream top("max_replicas = 9007199254740992\n");
+  EXPECT_EQ(read_workload_config(top).max_replicas, 9007199254740992u);
 }
 
 TEST(ConfigIo, SetAndGetFieldByKey) {

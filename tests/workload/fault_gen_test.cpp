@@ -162,6 +162,27 @@ TEST(FaultGen, ConfigRoundTripsAndRejectsUnknownKeys) {
   }
 }
 
+TEST(FaultGen, ConfigRejectsNonFiniteValuesAndInexactCounts) {
+  auto error = [](const std::string& text) {
+    std::istringstream is(text);
+    try {
+      (void)read_fault_config(is);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  EXPECT_EQ(error("horizon = 30\nsite_crashes = 1e30\n"),
+            "fault config: line 2: site_crashes must be an integer in "
+            "[0, 2^53]");
+  EXPECT_EQ(error("horizon = nan\n"),
+            "fault config: line 1: value 'nan' is not finite");
+  EXPECT_EQ(error("# scenario\nmean_repair_time = -inf\n"),
+            "fault config: line 2: value '-inf' is not finite");
+  std::istringstream ok("horizon = 30\nsite_crashes = 3\n");
+  EXPECT_EQ(read_fault_config(ok).site_crashes, 3u);
+}
+
 TEST(FaultGen, CloudletsOnlySparesDataCenters) {
   const Instance inst = medium_instance(3);
   FaultScenarioConfig cfg;
