@@ -26,32 +26,6 @@ std::vector<SiteId> by_residual_desc(const Instance& inst,
   return order;
 }
 
-/// Audit-only classification mirroring core/appro.cpp's precedence
-/// (deadline < replica budget < capacity), evaluated against the plan state
-/// *after* the failed greedy attempt — greedy burns budget on replicas it
-/// places speculatively, and that spent budget is what binds.
-obs::AuditReason classify_rejection_greedy(const Instance& inst,
-                                           const Query& q,
-                                           const DatasetDemand& dd,
-                                           const ReplicaPlan& plan,
-                                           double need) {
-  bool any_deadline_ok = false;
-  bool budget_blocked = false;
-  const bool budget_left =
-      plan.replica_count(dd.dataset) < inst.max_replicas();
-  for (const Site& s : inst.sites()) {
-    if (!deadline_ok(inst, q, dd, s.id)) continue;
-    any_deadline_ok = true;
-    if (!plan.fits(s.id, need)) continue;
-    if (!budget_left && !plan.has_replica(dd.dataset, s.id)) {
-      budget_blocked = true;
-    }
-  }
-  if (!any_deadline_ok) return obs::AuditReason::kNoDeadlineFeasibleSite;
-  return budget_blocked ? obs::AuditReason::kReplicaBudgetSpent
-                        : obs::AuditReason::kCapacityExhausted;
-}
-
 bool admit_demand_greedy(const Instance& inst, const Query& q,
                          const DatasetDemand& dd, ReplicaPlan& plan,
                          std::size_t di, obs::AuditEntry* audit) {
@@ -91,8 +65,18 @@ bool admit_demand_greedy(const Instance& inst, const Query& q,
     }
   }
   if (audit != nullptr) {
+    // Classified against the plan *after* the failed attempt: greedy burns
+    // budget on replicas it places speculatively, and that spent budget is
+    // what binds.
+    obs::RejectionClassifier why(plan.replica_count(dd.dataset) <
+                                 inst.max_replicas());
+    for (const Site& s : inst.sites()) {
+      if (deadline_ok(inst, q, dd, s.id)) {
+        why.site(plan.fits(s.id, need), plan.has_replica(dd.dataset, s.id));
+      }
+    }
     audit->admitted = false;
-    audit->reason = classify_rejection_greedy(inst, q, dd, plan, need);
+    audit->reason = why.reason();
   }
   return false;
 }

@@ -17,32 +17,6 @@ namespace edgerep {
 
 namespace {
 
-/// Audit-only classification of a failed admission: which constraint bound?
-/// Runs solely on failure with auditing enabled — the admission scan itself
-/// never tracks diagnostics, so the hot path is identical either way.
-/// Deterministic precedence: deadline < replica budget < capacity (a
-/// budget-blocked verdict means relaxing K alone would have admitted the
-/// demand at some fitting site).
-obs::AuditReason classify_rejection(const CandidateIndex& index,
-                                    const Query& q, std::size_t di,
-                                    const ReplicaPlan& plan,
-                                    bool budget_left) {
-  const DatasetDemand& dd = q.demands[di];
-  const CandidateSoA cands = index.soa(q.id, di);
-  if (cands.size() == 0) return obs::AuditReason::kNoDeadlineFeasibleSite;
-  const double need = index.need(q.id, di);
-  for (const SiteId l : cands.site) {
-    if (!plan.fits(l, need)) continue;
-    // A fitting site with a replica would have been admitted, so a fitting
-    // candidate here necessarily lacks one: the budget was the binding
-    // constraint.
-    if (!budget_left && !plan.has_replica(dd.dataset, l)) {
-      return obs::AuditReason::kReplicaBudgetSpent;
-    }
-  }
-  return obs::AuditReason::kCapacityExhausted;
-}
-
 /// One Appro-S admission step for a single (query, demand): pick the
 /// cheapest feasible site, placing a replica when needed.  Returns true and
 /// updates plan/duals on success.  When `audit` is non-null, the decision
@@ -128,7 +102,12 @@ bool admit_demand(const Instance& inst, const CandidateIndex& index,
     audit->dataset = dd.dataset;
     if (best_site == kInvalidSite) {
       audit->admitted = false;
-      audit->reason = classify_rejection(index, q, di, plan, budget_left);
+      // Audit-only: the candidates are the deadline-feasible sites.
+      obs::RejectionClassifier why(budget_left);
+      for (const SiteId l : index.soa(q.id, di).site) {
+        why.site(plan.fits(l, need), plan.has_replica(dd.dataset, l));
+      }
+      audit->reason = why.reason();
     } else {
       audit->admitted = true;
       audit->reason = obs::AuditReason::kAdmitted;

@@ -1,6 +1,7 @@
 #include "core/repair.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -36,38 +37,36 @@ bool admit_demand_faulted(const Instance& inst, const CandidateIndex& index,
   double best_price = 0.0;
   double best_eta = 0.0;
   double best_capacity_term = 0.0;
-  // Rejection diagnostics, gathered in the same scan (repair runs are rare
-  // enough that the hot-path/audit split of the admission engine would buy
-  // nothing here).
-  bool saw_feasible_site = false;
-  bool blocked_by_budget = false;
 
   const CandidateSoA cands = index.soa(q.id, di);
+  // The η base (delay / deadline) of candidate i, or nothing when its site
+  // is down or, under link faults, no longer deadline-feasible.
+  auto eta_base = [&](std::size_t i) -> std::optional<double> {
+    const SiteId l = cands.site[i];
+    if (!faults.site_up(l)) return std::nullopt;
+    if (!link_faults) return cands.dod[i];
+    const double ed = faults.evaluation_delay(q, dd, l);
+    if (ed > q.deadline) return std::nullopt;
+    return ed / q.deadline;
+  };
+  auto fits = [&](SiteId l) {
+    return plan.load(l) + need <= faults.available(l) + kCapacityEps;
+  };
   for (std::size_t i = 0; i < cands.size(); ++i) {
     const SiteId l = cands.site[i];
-    if (!faults.site_up(l)) continue;
-    double eta_base = cands.dod[i];
-    if (link_faults) {
-      const double ed = faults.evaluation_delay(q, dd, l);
-      if (ed > q.deadline) continue;
-      eta_base = ed / q.deadline;
-    }
-    saw_feasible_site = true;
+    const std::optional<double> eta = eta_base(i);
+    if (!eta || !fits(l)) continue;
     const bool has = plan.has_replica(dd.dataset, l);
+    if (!has && !budget_left) continue;
     const double eff = faults.available(l);
-    if (plan.load(l) + need > eff + kCapacityEps) continue;
-    if (!has && !budget_left) {
-      blocked_by_budget = true;
-      continue;
-    }
     const double capacity_term = need / std::max(eff, 1e-12);
-    double p = duals.theta(l) + capacity_term + kEtaWeight * eta_base;
+    double p = duals.theta(l) + capacity_term + kEtaWeight * *eta;
     if (!has) p += mu_term;
     if (best_site == kInvalidSite || p < best_price) {
       best_site = l;
       best_needs_replica = !has;
       best_price = p;
-      best_eta = kEtaWeight * eta_base;
+      best_eta = kEtaWeight * *eta;
       best_capacity_term = capacity_term;
     }
   }
@@ -78,13 +77,12 @@ bool admit_demand_faulted(const Instance& inst, const CandidateIndex& index,
     audit->dataset = dd.dataset;
     if (best_site == kInvalidSite) {
       audit->admitted = false;
-      if (!saw_feasible_site) {
-        audit->reason = obs::AuditReason::kNoDeadlineFeasibleSite;
-      } else if (blocked_by_budget) {
-        audit->reason = obs::AuditReason::kReplicaBudgetSpent;
-      } else {
-        audit->reason = obs::AuditReason::kCapacityExhausted;
+      obs::RejectionClassifier why(budget_left);
+      for (std::size_t i = 0; i < cands.size(); ++i) {
+        const SiteId l = cands.site[i];
+        if (eta_base(i)) why.site(fits(l), plan.has_replica(dd.dataset, l));
       }
+      audit->reason = why.reason();
     } else {
       audit->admitted = true;
       audit->reason = obs::AuditReason::kAdmitted;

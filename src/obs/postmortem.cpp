@@ -9,33 +9,12 @@
 
 #include "obs/audit.h"
 #include "obs/metrics.h"
+#include "obs/slo.h"
 #include "obs/watchdog.h"
 
 namespace edgerep::obs {
 
 namespace {
-
-// Mirror of util/stats.h percentile_sorted — the obs layer sits below util
-// and cannot link it; bitwise agreement with the simulator's rollup is
-// pinned by tests/obs/postmortem_test.cpp.
-double percentile_sorted_mirror(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  if (sorted.size() == 1) return sorted.front();
-  if (p < 0.0) p = 0.0;
-  if (p > 100.0) p = 100.0;
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-}
-
-double slack_percentile_mirror(std::vector<double>& xs, double p) {
-  std::sort(xs.begin(), xs.end());
-  return percentile_sorted_mirror(xs, p);
-}
-
-constexpr double kSlackTolerance = -1e-9;  // mirrors finalize_online_result
 
 struct QueryState;
 
@@ -73,27 +52,13 @@ struct QueryState {
   std::uint64_t demand_off = 0;
 };
 
+/// Breach buckets by key, so they flatten in ascending key order.
+using BucketMap = std::map<std::uint32_t, BreachBucket>;
 
-struct BucketAccum {
-  std::size_t breaches = 0;
-  std::size_t served = 0;
-  double worst_slack = 0.0;
-  double total_overrun = 0.0;
-};
-
-std::vector<BreachBucket> flatten_buckets(
-    const std::map<std::uint32_t, BucketAccum>& accum) {
+std::vector<BreachBucket> flatten_buckets(const BucketMap& buckets) {
   std::vector<BreachBucket> out;
-  out.reserve(accum.size());
-  for (const auto& [key, acc] : accum) {
-    BreachBucket b;
-    b.key = key;
-    b.breaches = acc.breaches;
-    b.served = acc.served;
-    b.worst_slack = acc.worst_slack;
-    b.total_overrun = acc.total_overrun;
-    out.push_back(b);
-  }
+  out.reserve(buckets.size());
+  for (const auto& [key, b] : buckets) out.push_back(b);
   return out;
 }
 
@@ -253,7 +218,7 @@ PostmortemReport analyze_journal(const Journal& journal) {
         // actual completion.  Max-accumulate onto the priced completion,
         // as run_online's deliver_transfer does.
         ++report.flow_retirements;
-        if (rec.time > ds.completion + 1e-9) ++report.flow_stretched;
+        if (past_due(rec.time, ds.completion)) ++report.flow_stretched;
         if (rec.time > ds.completion) ds.completion = rec.time;
         ds.total = ds.completion - ds.flight.time;  // includes the stretch
         promote(*ds.owner, ds);
@@ -295,16 +260,16 @@ PostmortemReport analyze_journal(const Journal& journal) {
     }
   }
 
-  // SLO rollup — the exact fold finalize_online_result applies, replayed
-  // from the journal's doubles.
+  // SLO rollup: the slacks finalize_online_result collects, replayed from
+  // the journal's doubles.
   std::vector<double> query_slacks;
   std::map<std::uint32_t, std::vector<double>> site_slacks;  // sites seen
   report.timelines.reserve(report.arrivals);
 
-  std::map<std::uint32_t, BucketAccum> by_site;
-  std::map<std::uint32_t, BucketAccum> by_dataset;
-  std::map<std::uint32_t, BucketAccum> by_role;
-  std::map<std::uint32_t, BucketAccum> by_link;
+  BucketMap by_site;
+  BucketMap by_dataset;
+  BucketMap by_role;
+  BucketMap by_link;
 
   for (std::size_t r = 0; r < ids.size(); ++r) {
     const QueryState& qs = queries[r];
@@ -347,10 +312,10 @@ PostmortemReport analyze_journal(const Journal& journal) {
             qs.deadline - (it->second.completion - qs.arrival);
         site_slacks[it->second.flight.site].push_back(slack);
       }
-      const bool breach = tl.slack < kSlackTolerance;
-      const auto attribute = [&](std::map<std::uint32_t, BucketAccum>& by,
-                                 std::uint32_t key) {
-        BucketAccum& acc = by[key];
+      const bool breach = !meets_deadline(tl.slack);
+      const auto attribute = [&](BucketMap& by, std::uint32_t key) {
+        BreachBucket& acc = by[key];
+        acc.key = key;
         ++acc.served;
         if (!breach) return;
         ++acc.breaches;
@@ -378,29 +343,9 @@ PostmortemReport analyze_journal(const Journal& journal) {
     report.timelines.push_back(tl);
   }
 
-  report.slo.admitted_queries = report.admitted;
-  for (const double s : query_slacks) {
-    if (s >= kSlackTolerance) ++report.slo.deadline_hits;
-  }
-  report.slo.hit_ratio =
-      query_slacks.empty()
-          ? 0.0
-          : static_cast<double>(report.slo.deadline_hits) /
-                static_cast<double>(query_slacks.size());
-  report.slo.p50_slack = slack_percentile_mirror(query_slacks, 50.0);
-  report.slo.p95_slack = slack_percentile_mirror(query_slacks, 5.0);
-  report.slo.p99_slack = slack_percentile_mirror(query_slacks, 1.0);
+  report.slo = rollup_slo(query_slacks);
   for (auto& [site, slacks] : site_slacks) {
-    PostmortemSiteSlo row;
-    row.site = site;
-    row.demands = slacks.size();
-    row.deadline_hits = static_cast<std::size_t>(
-        std::count_if(slacks.begin(), slacks.end(),
-                      [](double s) { return s >= kSlackTolerance; }));
-    row.p50_slack = slack_percentile_mirror(slacks, 50.0);
-    row.p95_slack = slack_percentile_mirror(slacks, 5.0);
-    row.p99_slack = slack_percentile_mirror(slacks, 1.0);
-    report.slo.per_site.push_back(row);
+    add_site_slo(report.slo, site, slacks);
   }
 
   report.by_site = flatten_buckets(by_site);
@@ -416,7 +361,7 @@ std::vector<const QueryTimeline*> worst_breaches(
     const PostmortemReport& report, std::size_t top) {
   std::vector<const QueryTimeline*> breached;
   for (const QueryTimeline& tl : report.timelines) {
-    if (tl.admitted && tl.slack < kSlackTolerance) breached.push_back(&tl);
+    if (tl.admitted && !meets_deadline(tl.slack)) breached.push_back(&tl);
   }
   std::sort(breached.begin(), breached.end(),
             [](const QueryTimeline* a, const QueryTimeline* b) {
@@ -610,7 +555,7 @@ void write_report_json(std::ostream& os, const PostmortemReport& report,
   write_json_double(os, report.slo.p99_slack);
   os << ",\"per_site\":[";
   for (std::size_t i = 0; i < report.slo.per_site.size(); ++i) {
-    const PostmortemSiteSlo& row = report.slo.per_site[i];
+    const SiteSlo& row = report.slo.per_site[i];
     if (i > 0) os << ",";
     os << "{\"site\":" << row.site << ",\"demands\":" << row.demands
        << ",\"deadline_hits\":" << row.deadline_hits << ",\"p50_slack\":";

@@ -10,10 +10,8 @@
 //     (overall and per site) reproduce `OnlineResult::slo` *bit-exactly*:
 //     the journal carries the same doubles the kernel folded (deadline,
 //     per-flight total and processing delay), completions are re-derived
-//     with the identical FP operations, and the percentile formula below
-//     mirrors util/stats.h `percentile_sorted` (the obs layer sits under
-//     util and cannot link it; the agreement is pinned by
-//     tests/obs/postmortem_test.cpp);
+//     with the identical FP operations, and both sides fold their slacks
+//     with obs/slo.h's one rollup (pinned by tests/obs/postmortem_test.cpp);
 //   * SLO-breach attribution rolled up by site, dataset, and node role
 //     (cloudlet vs data center), keyed to the breached query's critical
 //     demand;
@@ -37,33 +35,13 @@
 #include <vector>
 
 #include "obs/recorder.h"
+#include "obs/slo.h"
 
 namespace edgerep::obs {
 
 /// "No bottleneck link" sentinel for flow-backend attribution (mirrors the
 /// journal's ~0u edge id in kFlowRateChange records).
 inline constexpr std::uint32_t kNoLink = 0xffffffffu;
-
-/// Mirror of the simulator's per-site SLO row, rebuilt from the journal.
-struct PostmortemSiteSlo {
-  std::uint32_t site = kNoSite;
-  std::size_t demands = 0;
-  std::size_t deadline_hits = 0;
-  double p50_slack = 0.0;
-  double p95_slack = 0.0;
-  double p99_slack = 0.0;
-};
-
-/// Mirror of the simulator's SloRollup, rebuilt from the journal.
-struct PostmortemSlo {
-  std::size_t admitted_queries = 0;
-  std::size_t deadline_hits = 0;
-  double hit_ratio = 0.0;
-  double p50_slack = 0.0;
-  double p95_slack = 0.0;
-  double p99_slack = 0.0;
-  std::vector<PostmortemSiteSlo> per_site;
-};
 
 /// One query's reconstructed causal timeline.
 struct QueryTimeline {
@@ -153,7 +131,7 @@ struct PostmortemReport {
   std::size_t fault_events = 0;
   /// Admission rejections by audit::AuditReason value.
   std::vector<std::size_t> rejects_by_reason;
-  PostmortemSlo slo;
+  SloRollup slo;  ///< the run's deadline-SLO rollup, rebuilt
   /// Every arrived query, ascending query id.
   std::vector<QueryTimeline> timelines;
   /// Breach attribution, each ascending by key; empty when no breaches.
@@ -167,9 +145,9 @@ struct PostmortemReport {
   // --- flow section (zero when the journal has no flow records) ---------
   std::size_t flow_rate_changes = 0;  ///< max-min re-fill rate transitions
   std::size_t flow_retirements = 0;   ///< flows drained to completion
-  /// Retirements that landed later than the priced completion (the
-  /// contention stretch the SLO gap measures), same 1e-9 slack as the
-  /// kernels' late-transfer counter.
+  /// Retirements that landed past_due (obs/slo.h) of the priced completion
+  /// (the contention stretch the SLO gap measures), as the kernel's
+  /// late-transfer counter counts them.
   std::size_t flow_stretched = 0;
   // --- watchdog section (empty when the journal has no kAlert records) --
   std::vector<AlertWindow> alerts;  ///< open order (ascending seq)

@@ -5,14 +5,11 @@
 #include <ostream>
 
 #include "obs/metrics.h"
+#include "obs/slo.h"
 
 namespace edgerep::obs {
 
 namespace {
-
-/// Breaches are slacks below the same tolerance finalize_online_result and
-/// the postmortem use, so all three agree on what counts as a breach.
-constexpr double kSlackTolerance = -1e-9;
 
 void count_transition(bool resolve, std::size_t open_now, double value,
                       AlertKind kind) {
@@ -259,7 +256,7 @@ void Watchdog::on_site_util(double t, std::uint32_t site, double util) {
 }
 
 void Watchdog::on_completion(double t, double slack, bool failed) {
-  const bool breach = failed || slack < kSlackTolerance;
+  const bool breach = failed || !meets_deadline(slack);
   breach_level_.feed(breach ? 1.0 : 0.0);
   ++completions_seen_;
   if (completions_seen_ < cfg_.breach_warmup) return;

@@ -41,6 +41,7 @@
 
 #include "cloud/plan.h"
 #include "obs/obs.h"
+#include "obs/slo.h"
 #include "obs/watchdog.h"
 #include "sim/faults.h"
 
@@ -152,11 +153,10 @@ struct OnlineConfig {
   /// the header comment).  Identical seeds ⇒ identical arrival times and
   /// event orderings, with or without faults.
   std::uint64_t seed = 0x0a11;
-  /// Allow placing new replicas at admission time (within K).  With false,
-  /// only replicas present in the seed plan (or dataset origins) are usable.
+  /// Allow placing new replicas at admission time (within K).  Replicas
+  /// start at the seed plan's sites or, without one, at each dataset's
+  /// origin; with false, only those are usable.
   bool reactive_replicas = true;
-  /// Count each dataset's origin as a free replica (data exists somewhere).
-  bool origin_counts_as_replica = true;
 
   /// Failure events injected during the horizon (validated against the
   /// instance; must be time-ordered).  Empty = fault-free, bit-identical to
@@ -193,34 +193,6 @@ struct OnlineOutcome {
   bool failed_by_fault = false;
 };
 
-/// Deadline-SLO aggregates for the demands a site ended up serving.  Slack
-/// is `deadline − (completion − arrival)` in seconds; negative slack means
-/// a fault-forced relocation finished the work after the deadline.
-struct OnlineSiteSlo {
-  SiteId site = kInvalidSite;
-  std::size_t demands = 0;        ///< admitted demands finally served here
-  std::size_t deadline_hits = 0;  ///< of those, finished with slack ≥ 0
-  double p50_slack = 0.0;
-  double p95_slack = 0.0;
-  double p99_slack = 0.0;
-};
-
-/// Deadline-SLO rollup over the queries that survived the horizon.
-/// Fault-free runs hit every deadline by construction (admission only
-/// commits deadline-feasible sites), so hit_ratio < 1 is a fault signature.
-struct SloRollup {
-  std::size_t admitted_queries = 0;
-  std::size_t deadline_hits = 0;
-  double hit_ratio = 0.0;  ///< deadline_hits / admitted_queries (0 if none)
-  /// Tail percentiles of per-query slack, seconds: pXX_slack is the slack
-  /// the worst (100 − XX)% of queries fall below — 95% of queries finished
-  /// with at least p95_slack to spare.
-  double p50_slack = 0.0;
-  double p95_slack = 0.0;
-  double p99_slack = 0.0;
-  std::vector<OnlineSiteSlo> per_site;  ///< only sites that served demands
-};
-
 struct OnlineResult {
   std::vector<OnlineOutcome> outcomes;
   std::size_t admitted_queries = 0;
@@ -238,10 +210,10 @@ struct OnlineResult {
   std::size_t demands_relocated = 0;  ///< displaced and re-seated in flight
   std::size_t replicas_lost_to_faults = 0;
 
-  /// Deadline-SLO rollup (computed on every run; deterministic).  Under
-  /// the flow backend the completions (and hence slack) are the
-  /// contention-stretched actuals.
-  SloRollup slo;
+  /// Deadline-SLO rollup (computed on every run; deterministic).  Slack
+  /// can go negative only through fault-forced relocation or, under the
+  /// flow backend, the contention-stretched actual completions.
+  obs::SloRollup slo;
 
   /// Predicted-vs-actual gap of the flow backend (zeroed on table runs;
   /// excluded from online_result_hash).

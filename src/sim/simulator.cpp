@@ -13,6 +13,7 @@
 #include "net/routes.h"
 #include "net/shortest_path.h"
 #include "obs/metrics.h"
+#include "obs/slo.h"
 #include "obs/trace.h"
 #include "sim/arrivals.h"
 #include "sim/event_kernel.h"
@@ -360,7 +361,7 @@ SimReport simulate(const ReplicaPlan& plan, const SimConfig& cfg) {
     o.fully_served = qs.fully_served && qs.completed;
     o.completion_time = qs.completion_time;
     o.met_deadline =
-        o.fully_served && o.response_delay() <= q.deadline + 1e-9;
+        o.fully_served && !obs::past_due(o.response_delay(), q.deadline);
     outcomes.push_back(o);
   }
   if (obs::metrics_enabled()) {

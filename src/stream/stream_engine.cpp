@@ -15,10 +15,6 @@ namespace edgerep {
 
 namespace {
 
-struct PendingQuery {
-  QueryId query = 0;
-};
-
 /// Phase-2 replay of one shard intent against the live plan; returns the
 /// conflict site, or kInvalidSite once the intent is committed.  Capacity
 /// is checked for every placement first, against the plan's loads plus this
@@ -131,8 +127,8 @@ StreamResult run_stream(const Instance& inst, std::span<const Arrival> stream,
   res.shard_stats.resize(shards);
   std::vector<std::uint32_t> retries(inst.queries().size(), 0);
 
-  std::vector<PendingQuery> requeued;
-  std::vector<std::vector<PendingQuery>> shard_batch(shards);
+  std::vector<QueryId> requeued;
+  std::vector<std::vector<QueryId>> shard_batch(shards);
   std::vector<std::vector<AdmissionIntent>> shard_intents(shards);
   std::vector<std::vector<QueryId>> shard_infeasible(shards);
 
@@ -152,16 +148,16 @@ StreamResult run_stream(const Instance& inst, std::span<const Arrival> stream,
     // Batch: re-queued losers first (their arrival preceded this window),
     // then this window's arrivals, routed in order.
     for (auto& b : shard_batch) b.clear();
-    for (const PendingQuery& pq : requeued) {
-      const std::uint32_t sh = map.shard_of_query(inst.query(pq.query));
-      shard_batch[sh].push_back(pq);
+    for (const QueryId m : requeued) {
+      const std::uint32_t sh = map.shard_of_query(inst.query(m));
+      shard_batch[sh].push_back(m);
       ++res.shard_stats[sh].routed;
     }
     requeued.clear();
     while (cursor < stream.size() && stream[cursor].time < window_end) {
       const QueryId m = stream[cursor].query;
       const std::uint32_t sh = map.shard_of_query(inst.query(m));
-      shard_batch[sh].push_back({m});
+      shard_batch[sh].push_back(m);
       ++res.shard_stats[sh].routed;
       ++cursor;
     }
@@ -190,12 +186,12 @@ StreamResult run_stream(const Instance& inst, std::span<const Arrival> stream,
         auto& infeasible = shard_infeasible[sh];
         intents.clear();
         infeasible.clear();
-        for (const PendingQuery& pq : shard_batch[sh]) {
+        for (const QueryId m : shard_batch[sh]) {
           AdmissionIntent intent;
-          if (eng.admit(inst.query(pq.query), intent)) {
+          if (eng.admit(inst.query(m), intent)) {
             intents.push_back(std::move(intent));
           } else {
-            infeasible.push_back(pq.query);
+            infeasible.push_back(m);
           }
         }
       };
@@ -247,7 +243,7 @@ StreamResult run_stream(const Instance& inst, std::span<const Arrival> stream,
           if (retries[m] < opts.max_requeues) {
             ++retries[m];
             ++res.requeues;
-            requeued.push_back({m});
+            requeued.push_back(m);
             step(Kind::kRequeue, m, sh, retries[m], obs::kNoSite, &intent);
           } else {
             ++res.queries_rejected;

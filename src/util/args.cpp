@@ -56,6 +56,18 @@ long long Args::get_int(const std::string& name, long long fallback) const {
   }
 }
 
+std::uint64_t Args::get_count(const std::string& name,
+                             std::uint64_t fallback, std::uint64_t max) const {
+  if (!has(name)) return fallback;
+  const long long v = get_int(name, 0);
+  if (v < 0 || static_cast<std::uint64_t>(v) > max) {
+    throw std::runtime_error("--" + name + ": expected an integer in [0, " +
+                             std::to_string(max) + "], got '" +
+                             get(name, "") + "'");
+  }
+  return static_cast<std::uint64_t>(v);
+}
+
 double Args::get_double(const std::string& name, double fallback) const {
   const auto it = named_.find(name);
   if (it == named_.end()) return fallback;

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -20,6 +21,11 @@ class Args {
                                 const std::string& fallback) const;
   [[nodiscard]] long long get_int(const std::string& name,
                                   long long fallback) const;
+  /// A count: an integer in [0, max], which by default is the largest
+  /// count 32-bit ids can address.
+  [[nodiscard]] std::uint64_t get_count(
+      const std::string& name, std::uint64_t fallback,
+      std::uint64_t max = std::numeric_limits<std::uint32_t>::max()) const;
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;

@@ -1,9 +1,10 @@
 #include "util/stats.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <sstream>
+
+#include "obs/slo.h"
 
 namespace edgerep {
 
@@ -49,18 +50,6 @@ double RunningStat::sem() const noexcept {
 
 double RunningStat::ci95_halfwidth() const noexcept { return 1.96 * sem(); }
 
-double percentile_sorted(std::span<const double> sorted, double p) noexcept {
-  assert(p >= 0.0 && p <= 100.0);
-  if (sorted.empty()) return 0.0;  // empty sample: defined result, no UB
-  if (sorted.size() == 1) return sorted[0];
-  p = std::clamp(p, 0.0, 100.0);
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-}
-
 Summary summarize(std::span<const double> xs) {
   Summary s;
   s.count = xs.size();
@@ -73,8 +62,8 @@ Summary summarize(std::span<const double> xs) {
   s.stddev = rs.stddev();
   s.min = sorted.front();
   s.max = sorted.back();
-  s.p50 = percentile_sorted(sorted, 50.0);
-  s.p95 = percentile_sorted(sorted, 95.0);
+  s.p50 = obs::percentile_sorted(sorted, 50.0);
+  s.p95 = obs::percentile_sorted(sorted, 95.0);
   return s;
 }
 

@@ -52,10 +52,6 @@ struct Summary {
 /// Summarize a sample (copies and sorts internally; input is unmodified).
 Summary summarize(std::span<const double> xs);
 
-/// Linear-interpolated percentile of a *sorted* sample, p in [0, 100].
-/// An empty sample yields 0.0 (not UB); p is clamped into [0, 100].
-double percentile_sorted(std::span<const double> sorted, double p) noexcept;
-
 /// Pretty "mean ± ci95" string with the given precision.
 std::string mean_ci_string(const RunningStat& s, int precision = 2);
 

@@ -5,6 +5,10 @@
 namespace edgerep {
 
 ThreadPool::ThreadPool(std::size_t threads) {
+  // Workers bump registry counters until they are joined.  Building the
+  // registry first makes it outlive every pool, the static global_pool()
+  // included (statics are destroyed in reverse order of construction).
+  (void)obs::metrics();
   if (threads == 0) {
     threads = std::thread::hardware_concurrency();
     if (threads == 0) threads = 1;

@@ -1,6 +1,7 @@
 #include "workload/config_io.h"
 
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <istream>
 #include <limits>
@@ -11,6 +12,18 @@
 namespace edgerep {
 
 namespace {
+
+/// A count of things with 32-bit ids (nodes, datasets, queries): every id
+/// must fit below the all-ones sentinel (cloud/types.h `narrow_id`).  The
+/// generator checks min <= max, so bounding the max keys bounds them all.
+std::size_t id_count(double v, const char* key) {
+  const std::size_t n = config_count(v, key);
+  if (n > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::runtime_error(std::string(key) +
+                             " must be at most 2^32 - 1 (32-bit ids)");
+  }
+  return n;
+}
 
 struct Field {
   const char* key;
@@ -31,13 +44,19 @@ const std::vector<Field>& fields() {
   };
   static const std::vector<Field> kFields = [&] {
     std::vector<Field> f;
-    f.push_back({"network_size",
-                 [](const WorkloadConfig& c) {
-                   return static_cast<double>(c.network_size);
-                 },
-                 [](WorkloadConfig& c, double v) {
-                   c.network_size = config_count(v, "network_size");
-                 }});
+    auto count_field = [&f](const char* key,
+                            std::size_t WorkloadConfig::*member,
+                            std::size_t (*count)(double, const char*) =
+                                config_count) {
+      f.push_back({key,
+                   [member](const WorkloadConfig& c) {
+                     return static_cast<double>(c.*member);
+                   },
+                   [member, key, count](WorkloadConfig& c, double v) {
+                     c.*member = count(v, key);
+                   }});
+    };
+    count_field("network_size", &WorkloadConfig::network_size, id_count);
     f.push_back({"topology.link_prob",
                  [](const WorkloadConfig& c) { return c.topology.link_prob; },
                  [](WorkloadConfig& c, double v) { c.topology.link_prob = v; }});
@@ -68,20 +87,10 @@ const std::vector<Field>& fields() {
                  &WorkloadConfig::selectivity, f);
     range_fields("deadline_per_gb.lo", "deadline_per_gb.hi",
                  &WorkloadConfig::deadline_per_gb, f);
-    auto count_field = [&f](const char* key,
-                            std::size_t WorkloadConfig::*member) {
-      f.push_back({key,
-                   [member](const WorkloadConfig& c) {
-                     return static_cast<double>(c.*member);
-                   },
-                   [member, key](WorkloadConfig& c, double v) {
-                     c.*member = config_count(v, key);
-                   }});
-    };
     count_field("min_datasets", &WorkloadConfig::min_datasets);
-    count_field("max_datasets", &WorkloadConfig::max_datasets);
+    count_field("max_datasets", &WorkloadConfig::max_datasets, id_count);
     count_field("min_queries", &WorkloadConfig::min_queries);
-    count_field("max_queries", &WorkloadConfig::max_queries);
+    count_field("max_queries", &WorkloadConfig::max_queries, id_count);
     count_field("min_datasets_per_query",
                 &WorkloadConfig::min_datasets_per_query);
     count_field("max_datasets_per_query",

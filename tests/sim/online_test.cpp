@@ -183,7 +183,7 @@ TEST(OnlineSlo, PerSiteRollupCoversEveryAdmittedDemand) {
     if (o.admitted) demands_expected += inst.query(o.query).demands.size();
   }
   std::size_t demands_seen = 0;
-  for (const OnlineSiteSlo& s : r.slo.per_site) {
+  for (const obs::SiteSlo& s : r.slo.per_site) {
     EXPECT_NE(s.site, kInvalidSite);
     EXPECT_GT(s.demands, 0u);
     EXPECT_LE(s.deadline_hits, s.demands);
@@ -380,7 +380,7 @@ TEST(OnlineFaults, SloRollupStaysConsistentUnderFaults) {
   }
   EXPECT_LE(r.slo.p99_slack, r.slo.p95_slack);
   EXPECT_LE(r.slo.p95_slack, r.slo.p50_slack);
-  for (const OnlineSiteSlo& s : r.slo.per_site) {
+  for (const obs::SiteSlo& s : r.slo.per_site) {
     EXPECT_LE(s.deadline_hits, s.demands);
   }
 }

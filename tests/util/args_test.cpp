@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace edgerep {
@@ -52,6 +54,27 @@ TEST(Args, DoubleParsing) {
 TEST(Args, MalformedIntThrows) {
   const Args a = make_args({"prog", "--n=12x"});
   EXPECT_THROW((void)a.get_int("n", 0), std::runtime_error);
+}
+
+TEST(Args, CountAcceptsOnlyIntegersInRange) {
+  const Args a = make_args(
+      {"prog", "--size", "-5", "--serve=70000", "--k=3", "--f=2.5"});
+  EXPECT_EQ(a.get_count("missing", 7), 7u);
+  EXPECT_EQ(a.get_count("k", 0), 3u);
+  EXPECT_EQ(a.get_count("serve", 0), 70000u);
+  auto error = [&a](const char* name, std::uint64_t max) {
+    try {
+      (void)a.get_count(name, 0, max);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  EXPECT_EQ(error("size", 1u << 31),
+            "--size: expected an integer in [0, 2147483648], got '-5'");
+  EXPECT_EQ(error("serve", 65535),
+            "--serve: expected an integer in [0, 65535], got '70000'");
+  EXPECT_EQ(error("f", 10), "--f: expected integer, got '2.5'");
 }
 
 TEST(Args, MalformedBoolThrows) {

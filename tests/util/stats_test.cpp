@@ -5,6 +5,7 @@
 #include <cmath>
 #include <vector>
 
+#include "obs/slo.h"
 #include "util/rng.h"
 
 namespace edgerep {
@@ -81,22 +82,22 @@ TEST(RunningStat, Ci95ShrinksWithSamples) {
 
 TEST(PercentileSorted, Endpoints) {
   const std::vector<double> v{1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(percentile_sorted(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile_sorted(v, 100.0), 4.0);
+  EXPECT_DOUBLE_EQ(obs::percentile_sorted(v, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(obs::percentile_sorted(v, 100.0), 4.0);
 }
 
 TEST(PercentileSorted, MedianInterpolates) {
   const std::vector<double> v{1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(percentile_sorted(v, 50.0), 2.5);
+  EXPECT_DOUBLE_EQ(obs::percentile_sorted(v, 50.0), 2.5);
 }
 
 TEST(PercentileSorted, SingleElement) {
   const std::vector<double> v{7.0};
-  EXPECT_DOUBLE_EQ(percentile_sorted(v, 37.0), 7.0);
+  EXPECT_DOUBLE_EQ(obs::percentile_sorted(v, 37.0), 7.0);
 }
 
 TEST(PercentileSorted, EmptyYieldsZero) {
-  EXPECT_DOUBLE_EQ(percentile_sorted(std::vector<double>{}, 95.0), 0.0);
+  EXPECT_DOUBLE_EQ(obs::percentile_sorted(std::vector<double>{}, 95.0), 0.0);
 }
 
 TEST(Summarize, Basic) {

@@ -92,6 +92,30 @@ TEST(ConfigIo, RejectsNonFiniteValuesAndInexactCounts) {
   EXPECT_EQ(read_workload_config(top).max_replicas, 9007199254740992u);
 }
 
+TEST(ConfigIo, RejectsCountsPastTheIdSpace) {
+  auto error = [](const std::string& text) {
+    std::istringstream is(text);
+    try {
+      (void)read_workload_config(is);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  // Exact doubles below 2^53, but no 32-bit id addresses them.
+  EXPECT_EQ(error("network_size = 1e15\n"),
+            "config: line 1: network_size must be at most 2^32 - 1 "
+            "(32-bit ids)");
+  EXPECT_EQ(error("# ok\nmax_queries = 4294967296\n"),
+            "config: line 2: max_queries must be at most 2^32 - 1 "
+            "(32-bit ids)");
+  EXPECT_EQ(error("max_datasets = 1e12\n"),
+            "config: line 1: max_datasets must be at most 2^32 - 1 "
+            "(32-bit ids)");
+  std::istringstream top("max_queries = 4294967295\n");
+  EXPECT_EQ(read_workload_config(top).max_queries, 4294967295u);
+}
+
 TEST(ConfigIo, SetAndGetFieldByKey) {
   WorkloadConfig cfg;
   set_field(cfg, "dataset_volume.hi", 9.0);

@@ -172,18 +172,16 @@ int cmd_generate(const Args& args) {
     cfg = read_workload_config(is);
   }
   if (args.has("size")) {
-    cfg.network_size = static_cast<std::size_t>(args.get_int("size", 32));
+    cfg.network_size = args.get_count("size", 32);
   }
   if (args.has("queries")) {
-    cfg.min_queries = cfg.max_queries =
-        static_cast<std::size_t>(args.get_int("queries", 60));
+    cfg.min_queries = cfg.max_queries = args.get_count("queries", 60);
   }
   if (args.has("f")) {
-    cfg.max_datasets_per_query =
-        static_cast<std::size_t>(args.get_int("f", 5));
+    cfg.max_datasets_per_query = args.get_count("f", 5);
   }
   if (args.has("k")) {
-    cfg.max_replicas = static_cast<std::size_t>(args.get_int("k", 3));
+    cfg.max_replicas = args.get_count("k", 3);
   }
   const Instance inst = generate_instance(cfg, args.get_seed("seed", 1));
   const std::string out = args.get("out", "");
@@ -301,7 +299,7 @@ int cmd_analyze(const Args& args) {
   const ReplicaPlan plan = load_plan(inst, args);
   AvailabilityConfig acfg;
   acfg.site_failure_prob = args.get_double("failure-prob", 0.05);
-  acfg.trials = static_cast<std::size_t>(args.get_int("trials", 10000));
+  acfg.trials = args.get_count("trials", 10000);
   acfg.seed = args.get_seed("seed", 0xa1b2);
   const AvailabilityReport avail = analyze_availability(plan, acfg);
   std::cout << "availability @ p=" << acfg.site_failure_prob << ": mean "
@@ -427,14 +425,11 @@ int cmd_online(const Args& args) {
       return load_instance(args);
     }
     StreamWorkloadConfig wc;
-    wc.sites = static_cast<std::size_t>(args.get_int("gen-sites", 1024));
-    wc.queries =
-        static_cast<std::size_t>(args.get_int("gen-queries", 100'000));
-    wc.max_demands =
-        static_cast<std::size_t>(args.get_int("gen-max-demands", 1));
+    wc.sites = args.get_count("gen-sites", 1024);
+    wc.queries = args.get_count("gen-queries", 100'000);
+    wc.max_demands = args.get_count("gen-max-demands", 1);
     wc.zipf_exponent = args.get_double("gen-zipf", 0.0);
-    wc.zipf_drift_period =
-        static_cast<std::size_t>(args.get_int("gen-zipf-drift", 0));
+    wc.zipf_drift_period = args.get_count("gen-zipf-drift", 0);
     return stream_instance(wc, args.get_seed("gen-seed", 0x5eed));
   }();
   OnlineConfig cfg;
@@ -460,7 +455,7 @@ int cmd_online(const Args& args) {
     if (args.has("faults")) {
       throw std::runtime_error("--gen-faults conflicts with --faults");
     }
-    const auto n = static_cast<std::size_t>(args.get_int("gen-faults", 4));
+    const std::size_t n = args.get_count("gen-faults", 4);
     FaultScenarioConfig fc;
     fc.horizon = 0.8 * static_cast<double>(inst.queries().size()) /
                  std::max(cfg.arrival_rate, 1e-9);
@@ -475,8 +470,7 @@ int cmd_online(const Args& args) {
   const bool serve = args.has("serve");
   const std::string ts_out = args.get("timeseries-out", "");
   const bool sampling = serve || !ts_out.empty();
-  const auto sample_interval =
-      static_cast<std::uint64_t>(args.get_int("sample-interval", 100));
+  const std::uint64_t sample_interval = args.get_count("sample-interval", 100);
   const double linger = args.get_double("serve-linger", 30.0);
 
   OnlineStatusBoard board;
@@ -492,7 +486,8 @@ int cmd_online(const Args& args) {
   }
   if (serve) {
     add_online_routes(server, board, sampler, quit);
-    server.start(static_cast<std::uint16_t>(args.get_int("serve", 0)));
+    server.start(
+        static_cast<std::uint16_t>(args.get_count("serve", 0, 65535)));
     std::cout << "serving telemetry on http://127.0.0.1:" << server.port()
               << " (/metrics /healthz /status /timeseries /alerts)\n";
   }
@@ -581,10 +576,9 @@ int cmd_online(const Args& args) {
 int cmd_stream(const Args& args) {
   const Instance inst = load_instance(args);
   StreamOptions opts;
-  opts.shards = static_cast<std::size_t>(args.get_int("shards", 1));
+  opts.shards = args.get_count("shards", 1);
   opts.epoch_length = args.get_double("epoch-ms", 50.0) / 1000.0;
-  opts.max_requeues =
-      static_cast<std::size_t>(args.get_int("max-requeues", 2));
+  opts.max_requeues = args.get_count("max-requeues", 2);
   opts.parallel = !args.get_bool("serial", false);
   const std::string boundary = args.get("boundary", "none");
   if (boundary == "dc") {
@@ -679,13 +673,13 @@ int cmd_genfaults(const Args& args) {
     cfg = read_fault_config(is);
   }
   if (args.has("crashes")) {
-    cfg.site_crashes = static_cast<std::size_t>(args.get_int("crashes", 1));
+    cfg.site_crashes = args.get_count("crashes", 1);
   }
   if (args.has("links")) {
-    cfg.link_failures = static_cast<std::size_t>(args.get_int("links", 0));
+    cfg.link_failures = args.get_count("links", 0);
   }
   if (args.has("degrade")) {
-    cfg.capacity_losses = static_cast<std::size_t>(args.get_int("degrade", 0));
+    cfg.capacity_losses = args.get_count("degrade", 0);
   }
   if (args.has("horizon")) cfg.horizon = args.get_double("horizon", 50.0);
   if (args.has("mttr")) cfg.mean_repair_time = args.get_double("mttr", 10.0);
@@ -761,7 +755,7 @@ int cmd_postmortem(const Args& args) {
     return d.identical ? 0 : 1;
   }
   const obs::PostmortemReport report = obs::analyze_journal(journal);
-  const auto top = static_cast<std::size_t>(args.get_int("top", 10));
+  const std::size_t top = args.get_count("top", 10);
   if (args.get_bool("alerts", false)) {
     obs::write_alerts_text(std::cout, report);
     return 0;
@@ -803,8 +797,8 @@ std::function<void()> setup_observability(const Args& args) {
   if (!record_out.empty()) {
     const std::string mode = args.get("record-mode", "full");
     if (mode == "ring") {
-      const auto cap = static_cast<std::size_t>(args.get_int(
-          "record-ring", static_cast<int>(obs::kDefaultRingCapacity)));
+      const std::size_t cap =
+          args.get_count("record-ring", obs::kDefaultRingCapacity);
       obs::recorder().configure(obs::RecorderMode::kRing, cap);
     } else if (mode == "full") {
       obs::recorder().configure(obs::RecorderMode::kFull);
