@@ -56,7 +56,9 @@ inline constexpr std::size_t kAuditReasonCount = 7;
 /// (baselines/greedy.cpp) and run_online (sim/online.cpp), which puts the
 /// reason on its kReject journal records.  After a demand fails, the caller
 /// feeds it each up, deadline-feasible site it already enumerates, then
-/// reads reason().
+/// reads reason().  A caller that pays for each deadline test (run_online)
+/// tests only the sites for which could_change() holds, and stops once
+/// settled().
 class RejectionClassifier {
  public:
   /// `can_place_replica`: a fresh replica of the demand's dataset could
@@ -68,7 +70,18 @@ class RejectionClassifier {
   /// capacity, and whether it holds a replica of the demand's dataset.
   void site(bool fits, bool has_replica) noexcept {
     any_site_ = true;
-    if (fits && !has_replica && !can_place_replica_) budget_bound_ = true;
+    if (could_bind_budget(fits, has_replica)) budget_bound_ = true;
+  }
+
+  /// Would feeding this site, were it deadline-feasible, change reason()?
+  [[nodiscard]] bool could_change(bool fits, bool has_replica) const noexcept {
+    return !any_site_ ||
+           (!budget_bound_ && could_bind_budget(fits, has_replica));
+  }
+
+  /// No further site can change reason().
+  [[nodiscard]] bool settled() const noexcept {
+    return budget_bound_ || (any_site_ && can_place_replica_);
   }
 
   [[nodiscard]] AuditReason reason() const noexcept {
@@ -78,6 +91,11 @@ class RejectionClassifier {
   }
 
  private:
+  [[nodiscard]] bool could_bind_budget(bool fits,
+                                       bool has_replica) const noexcept {
+    return fits && !has_replica && !can_place_replica_;
+  }
+
   bool can_place_replica_;
   bool any_site_ = false;
   bool budget_bound_ = false;

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <ostream>
 #include <span>
@@ -20,6 +21,7 @@
 #include "sim/arrivals.h"
 #include "sim/event_kernel.h"
 #include "sim/flows.h"
+#include "sim/site_fill_index.h"
 #include "util/rng.h"
 
 namespace edgerep {
@@ -280,6 +282,8 @@ void finalize_flow_gap(const Instance& inst,
 //    killed or relocated flight dereferences to null and self-discards.
 //  * Replica membership is mirrored in a per-(dataset, site) byte mask, so
 //    the admission scan's replica check is O(1) instead of O(|replicas|).
+//  * Site selection scores a dataset's replica sites when its budget K is
+//    spent, and searches a SiteFillIndex over every site when it is not.
 //
 // Every floating-point accumulation (site loads, in_use_total, tentative
 // reservations) happens in a fixed order; tests/golden/ pins the results
@@ -319,8 +323,8 @@ OnlineResult run_online(const Instance& inst, const OnlineConfig& cfg,
   const std::size_t num_datasets = inst.datasets().size();
 
   // Replica state: the per-dataset site vectors are the contract-visible
-  // representation; the byte mask is an O(1)-lookup mirror of it (the hot
-  // admission scan asks "replica here?" once per site per demand).
+  // representation, and the list site selection walks once K is spent; the
+  // byte mask is an O(1)-lookup mirror of it ("replica here?").
   res.replica_sites.resize(num_datasets);
   std::vector<std::uint8_t> replica_mask(num_datasets * num_sites, 0);
   auto add_replica = [&](DatasetId n, SiteId l) {
@@ -348,6 +352,14 @@ OnlineResult run_online(const Instance& inst, const OnlineConfig& cfg,
     sites[s.id].available = s.available;
     total_available += s.available;
   }
+  // Fill bounds for site selection: refreshed at every write to a site's
+  // in_use and after every site fault.
+  SiteFillIndex fill_index(num_sites);
+  auto refresh_fill = [&](SiteId s) {
+    fill_index.update(s, faults.site_up(s), sites[s].in_use,
+                      faults.available(s));
+  };
+  for (const Site& s : inst.sites()) refresh_fill(s.id);
 
   // Per-site flight handles (consulted only by fault handlers).  Stale
   // handles are skipped on read and compacted when they outnumber the live
@@ -586,15 +598,21 @@ OnlineResult run_online(const Instance& inst, const OnlineConfig& cfg,
     }
   };
 
+  /// Return a live flight's resource to its site (completion or kill).
+  auto release_flight = [&](const Flight& f) {
+    sites[f.site].in_use -= f.need;
+    refresh_fill(f.site);
+    --inflight_count;
+    in_use_total -= f.need;
+    --site_live[f.site];
+  };
+
   /// Release a flight's resource and recycle its slot (no-op on stale
   /// handles).  The slot's flow, if still in the air, is silently aborted.
   auto kill_flight = [&](FlightHandle h) {
     Flight* f = slab.get(h);
     if (f == nullptr) return;
-    sites[f->site].in_use -= f->need;
-    --inflight_count;
-    in_use_total -= f->need;
-    --site_live[f->site];
+    release_flight(*f);
     cancel_transfer(layout.at(f->query, f->demand));
     slab.destroy(h);
   };
@@ -629,6 +647,7 @@ OnlineResult run_online(const Instance& inst, const OnlineConfig& cfg,
     }
     qd_flight[layout.at(m, demand)] = h;
     sites[site].in_use += need;
+    refresh_fill(site);
     ++inflight_count;
     in_use_total += need;
     queue.push_dynamic(EvKind::kComputeDone, queue.now() + proc, h.slot,
@@ -703,33 +722,59 @@ OnlineResult run_online(const Instance& inst, const OnlineConfig& cfg,
   std::vector<std::size_t> tentative_replicas(num_datasets, 0);
   std::vector<DatasetId> tentative_rep_dirty;
 
-  // Candidate-ordered site selection.  The spec is the (fill, site) argmin
-  // over every up, replica-admissible, capacity- and deadline-feasible
-  // site.  Testing the deadline of every site would touch one strided
-  // delay-table row per candidate — a cache miss each at 10k sites — so
-  // the capacity/replica filters and the fill run first over contiguous
-  // state, then the deadline (the only delay-table touch) is tested in
-  // (fill, site) order.  Strict `<` keeps the lowest site id among equal
-  // fills, so the winner is exactly the spec's argmin.
-  std::vector<std::pair<double, SiteId>> cand;
+  // Site selection: the (fill, site) argmin over every up, replica-
+  // admissible, capacity- and deadline-feasible site.  The argmin does not
+  // depend on the order sites are visited in, so each case scores only the
+  // sites that can still win, and tests the deadline (the only delay-table
+  // touch, a cache miss per site at 10k sites) as late as it can:
+  //  * K spent: only the dataset's replica sites (≤ K) are admissible.
+  //    Their fills are scored, then deadlines are tested in (fill, site)
+  //    order; after 8 misses the survivors are sorted once and walked.
+  //  * K left: every up site is admissible.  The fill_index search scores
+  //    sites in bound order and tests the deadline only of a site that
+  //    beats the best (fill, site) so far.
+  // Both keep the lowest site id among equal fills.
+  OnlineKernelStats& ks = res.kernel_stats;
   auto can_place_replica = [&](DatasetId n, bool use_tentative) {
     const std::size_t replicas = res.replica_sites[n].size() +
                                  (use_tentative ? tentative_replicas[n] : 0);
     return cfg.reactive_replicas && replicas < inst.max_replicas();
   };
-  auto select_site = [&](const Query& q, const DatasetDemand& dd, double need,
-                         bool use_tentative, bool* new_replica) {
+  auto load_at = [&](SiteId s, bool use_tentative) {
+    return sites[s].in_use + (use_tentative ? tentative[s] : 0.0);
+  };
+  auto deadline_ok = [&](const Query& q, const DatasetDemand& dd, SiteId s) {
+    ++ks.deadline_tests;
+    return faults.deadline_ok(q, dd, s);
+  };
+  auto search_all_sites = [&](const Query& q, const DatasetDemand& dd,
+                              double need, bool use_tentative) {
+    double best_fill = std::numeric_limits<double>::infinity();
+    SiteId best = kInvalidSite;
+    fill_index.search(need, best_fill, [&](SiteId s) {
+      ++ks.sites_scored;
+      const double eff = faults.available(s);
+      const double load = load_at(s, use_tentative);
+      if (!SiteFillIndex::fits(load, need, eff)) return;
+      const double fill = SiteFillIndex::fill(load, need, eff);
+      if (fill > best_fill || (fill == best_fill && s > best)) return;
+      if (!deadline_ok(q, dd, s)) return;
+      best_fill = fill;
+      best = s;
+    });
+    return best;
+  };
+  std::vector<std::pair<double, SiteId>> cand;
+  auto search_replica_sites = [&](const Query& q, const DatasetDemand& dd,
+                                  double need, bool use_tentative) {
     cand.clear();
-    const bool budget_left = can_place_replica(dd.dataset, use_tentative);
-    for (const Site& s : inst.sites()) {
-      if (!faults.site_up(s.id)) continue;
-      if (!has_replica(dd.dataset, s.id) && !budget_left) continue;
-      const double eff = faults.available(s.id);
-      const double load =
-          sites[s.id].in_use + (use_tentative ? tentative[s.id] : 0.0);
-      if (load + need > eff + 1e-9) continue;
-      const double fill = eff > 0.0 ? (load + need) / eff : 1e18;
-      cand.emplace_back(fill, s.id);
+    for (const SiteId s : res.replica_sites[dd.dataset]) {
+      if (!faults.site_up(s)) continue;
+      ++ks.sites_scored;
+      const double eff = faults.available(s);
+      const double load = load_at(s, use_tentative);
+      if (!SiteFillIndex::fits(load, need, eff)) continue;
+      cand.emplace_back(SiteFillIndex::fill(load, need, eff), s);
     }
     std::size_t misses = 0;
     while (!cand.empty()) {
@@ -737,24 +782,27 @@ OnlineResult run_online(const Instance& inst, const OnlineConfig& cfg,
         // Deadline-hostile regime: order the survivors once and walk.
         std::sort(cand.begin(), cand.end());
         for (const auto& [fill, site] : cand) {
-          if (faults.deadline_ok(q, dd, site)) {
-            *new_replica = !has_replica(dd.dataset, site);
-            return site;
-          }
+          if (deadline_ok(q, dd, site)) return site;
         }
         return kInvalidSite;
       }
       const auto it = std::min_element(cand.begin(), cand.end());
       const SiteId site = it->second;
-      if (faults.deadline_ok(q, dd, site)) {
-        *new_replica = !has_replica(dd.dataset, site);
-        return site;
-      }
+      if (deadline_ok(q, dd, site)) return site;
       *it = cand.back();
       cand.pop_back();
       ++misses;
     }
     return kInvalidSite;
+  };
+  auto select_site = [&](const Query& q, const DatasetDemand& dd, double need,
+                         bool use_tentative, bool* new_replica) {
+    ++ks.site_selections;
+    const SiteId site = can_place_replica(dd.dataset, use_tentative)
+                            ? search_all_sites(q, dd, need, use_tentative)
+                            : search_replica_sites(q, dd, need, use_tentative);
+    if (site != kInvalidSite) *new_replica = !has_replica(dd.dataset, site);
+    return site;
   };
 
   auto best_site_for = [&](const Query& q, const DatasetDemand& dd,
@@ -892,14 +940,19 @@ OnlineResult run_online(const Instance& inst, const OnlineConfig& cfg,
     tentative_rep_dirty.clear();
 
     // A failed demand, judged by select_site's capacity and budget tests
-    // (tentative reservations included).
+    // (tentative reservations included).  Only a site that could change
+    // the reason has its deadline tested.
     auto classify_rejection = [&](const DatasetDemand& dd, double need) {
       obs::RejectionClassifier why(can_place_replica(dd.dataset, true));
       for (const Site& s : inst.sites()) {
-        if (!faults.site_up(s.id) || !faults.deadline_ok(q, dd, s.id)) continue;
-        const double load = sites[s.id].in_use + tentative[s.id];
-        why.site(load + need <= faults.available(s.id) + 1e-9,
-                 has_replica(dd.dataset, s.id));
+        if (why.settled()) break;
+        if (!faults.site_up(s.id)) continue;
+        const bool fits = SiteFillIndex::fits(load_at(s.id, true), need,
+                                              faults.available(s.id));
+        const bool replica = has_replica(dd.dataset, s.id);
+        if (why.could_change(fits, replica) && deadline_ok(q, dd, s.id)) {
+          why.site(fits, replica);
+        }
       }
       return why.reason();
     };
@@ -1022,10 +1075,7 @@ OnlineResult run_online(const Instance& inst, const OnlineConfig& cfg,
       case EvKind::kComputeDone: {
         Flight* f = slab.get(FlightHandle{ev.a, ev.b});
         if (f == nullptr) break;  // killed or relocated; stale by generation
-        sites[f->site].in_use -= f->need;
-        --inflight_count;
-        in_use_total -= f->need;
-        --site_live[f->site];
+        release_flight(*f);
         if (sink.on()) {
           sink.emit(Kind::kComputeDone,
                     {.time = queue.now(),
@@ -1047,6 +1097,9 @@ OnlineResult run_online(const Instance& inst, const OnlineConfig& cfg,
                               0, 0, 0.0, EvKind::kFaultApply});
         }
         faults.apply(e);
+        if (e.kind != FaultKind::kLinkDown && e.kind != FaultKind::kLinkUp) {
+          refresh_fill(e.site);  // a site event
+        }
         ++res.fault_events_applied;
         if (sink.on()) {
           sink.emit(Kind::kFaultApply,

@@ -136,6 +136,13 @@ struct OnlineKernelStats {
   std::size_t peak_event_bytes = 0;  ///< event-storage high-water, bytes
   std::size_t peak_flights = 0;      ///< max concurrently live flights
   std::size_t flight_bytes = 0;      ///< flight-registry storage, bytes
+  /// Admission scan work.  One site selection runs per demand admitted,
+  /// rejected or relocated; it scores a site by reading its load and
+  /// capacity (fit test, then fill).  Deadline tests (one delay lookup
+  /// each) count the selection's and the rejection classifier's.
+  std::size_t site_selections = 0;
+  std::size_t sites_scored = 0;
+  std::size_t deadline_tests = 0;
 };
 
 struct OnlineConfig {

@@ -12,6 +12,7 @@
 #include "core/appro.h"
 #include "helpers/fixtures.h"
 #include "sim/online.h"
+#include "util/rng.h"
 
 namespace edgerep {
 namespace {
@@ -120,6 +121,41 @@ TEST(RejectionClassifier, FullReplicaSiteAndFittingBareSiteIsBudget) {
 TEST(RejectionClassifier, OnlyFullBareSitesIsCapacity) {
   EXPECT_EQ(classify(false, {{false, false}, {false, false}}),
             obs::AuditReason::kCapacityExhausted);
+}
+
+// run_online's feed: test the deadline only of a site that could change
+// the reason, and stop once it is settled.  It must read the same reason
+// as feeding every deadline-feasible site.
+TEST(RejectionClassifier, EarlyStopFeedMatchesFullFeed) {
+  struct Site {
+    bool deadline_ok, fits, has_replica;
+  };
+  Rng rng(0xc1a55);
+  std::size_t stopped_early = 0;
+  for (int trial = 0; trial < 20'000; ++trial) {
+    const bool can_place = rng.bernoulli(0.5);
+    const double p_deadline = rng.uniform();
+    std::vector<Site> sites(static_cast<std::size_t>(rng.uniform_int(0, 12)));
+    for (Site& s : sites) {
+      s = {rng.bernoulli(p_deadline), rng.bernoulli(0.5), rng.bernoulli(0.5)};
+    }
+    obs::RejectionClassifier full(can_place);
+    for (const Site& s : sites) {
+      if (s.deadline_ok) full.site(s.fits, s.has_replica);
+    }
+    obs::RejectionClassifier early(can_place);
+    std::size_t fed = 0;
+    for (const Site& s : sites) {
+      if (early.settled()) break;
+      ++fed;
+      if (early.could_change(s.fits, s.has_replica) && s.deadline_ok) {
+        early.site(s.fits, s.has_replica);
+      }
+    }
+    if (fed < sites.size()) ++stopped_early;
+    ASSERT_EQ(early.reason(), full.reason()) << "trial " << trial;
+  }
+  EXPECT_GT(stopped_early, 1000u);
 }
 
 TEST_F(AuditTest, AdmittedEntryCarriesSiteAndPriceBreakdown) {

@@ -8,6 +8,7 @@
 
 #include "core/appro.h"
 #include "helpers/fixtures.h"
+#include "workload/arrival_gen.h"
 #include "workload/fault_gen.h"
 
 namespace edgerep {
@@ -117,6 +118,65 @@ TEST(Online, ReplicaBudgetRespected) {
   for (const Dataset& d : inst.datasets()) {
     EXPECT_LE(r.replica_sites[d.id].size(), inst.max_replicas());
   }
+}
+
+// Six identical sites around one switch, so every site gives the query
+// the same fill, and a seed plan whose replica list runs in descending
+// site id.  Equal fills go to the lowest site id whichever way admission
+// walks the sites: the replica list (K spent) or the fill index (K left).
+Instance equal_sites_instance(std::size_t max_replicas) {
+  Graph g;
+  const NodeId sw = g.add_node(NodeRole::kSwitch);
+  std::vector<NodeId> nodes;
+  for (int i = 0; i < 6; ++i) {
+    nodes.push_back(g.add_node(NodeRole::kCloudlet));
+    g.add_edge(sw, nodes.back(), 0.1);
+  }
+  Instance inst(std::move(g));
+  for (const NodeId n : nodes) inst.add_site(n, 10.0, 0.1);
+  const DatasetId d = inst.add_dataset(2.0, /*origin=*/5);
+  inst.add_query(/*home=*/0, 1.0, /*deadline=*/100.0, {{d, 0.5}});
+  inst.set_max_replicas(max_replicas);
+  inst.finalize();
+  return inst;
+}
+
+TEST(Online, EqualFillGoesToTheLowestSiteId) {
+  for (const std::size_t k : {4, 5}) {
+    const Instance inst = equal_sites_instance(k);
+    ReplicaPlan seed(inst);
+    for (const SiteId s : {5, 4, 3, 2}) seed.place_replica(0, s);
+    const OnlineResult r = run_online(inst, {}, &seed);
+    ASSERT_TRUE(r.outcomes[0].admitted) << "K = " << k;
+    ASSERT_EQ(r.slo.per_site.size(), 1u);
+    if (k == 4) {
+      // K spent: only the replica sites {5, 4, 3, 2} are admissible.
+      EXPECT_EQ(r.slo.per_site[0].site, 2u);
+      EXPECT_EQ(r.replica_sites[0], (std::vector<SiteId>{5, 4, 3, 2}));
+    } else {
+      // K left: every site is, and site 0 gets the new replica.
+      EXPECT_EQ(r.slo.per_site[0].site, 0u);
+      EXPECT_EQ(r.replica_sites[0], (std::vector<SiteId>{5, 4, 3, 2, 0}));
+    }
+  }
+}
+
+// With loads near zero the fill index leads straight to the winner: a
+// site selection over 4096 sites scores a handful of them, not all.
+TEST(Online, IdleSitesScoreAFewSitesPerDemand) {
+  StreamWorkloadConfig wc;
+  wc.sites = 4096;
+  wc.queries = 2'000;
+  wc.max_demands = 3;
+  const Instance inst = stream_instance(wc, 0x4096);
+  OnlineConfig cfg;
+  cfg.arrival_rate = 1.0;
+  const OnlineResult r = run_online(inst, cfg);
+  const OnlineKernelStats& ks = r.kernel_stats;
+  EXPECT_EQ(r.admitted_queries, inst.queries().size());
+  ASSERT_GT(ks.site_selections, inst.queries().size());
+  EXPECT_LE(ks.sites_scored, 32 * ks.site_selections);
+  EXPECT_GE(ks.deadline_tests, ks.site_selections);
 }
 
 TEST(Online, MismatchedProactivePlanThrows) {

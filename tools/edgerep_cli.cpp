@@ -504,9 +504,13 @@ int cmd_online(const Args& args) {
             << inst.queries().size() << " (throughput " << res.throughput
             << ")\nadmitted volume: " << res.admitted_volume
             << " GB\npeak utilization: " << res.peak_utilization << "\n";
-  std::cout << "events: " << res.kernel_stats.events_processed
-            << ", peak pending: " << res.kernel_stats.peak_pending_events
-            << ", peak flights: " << res.kernel_stats.peak_flights << "\n";
+  const OnlineKernelStats& ks = res.kernel_stats;
+  std::cout << "events: " << ks.events_processed
+            << ", peak pending: " << ks.peak_pending_events
+            << ", peak flights: " << ks.peak_flights << "\n";
+  std::cout << "admission scan: " << ks.site_selections
+            << " site selections, " << ks.sites_scored << " sites scored, "
+            << ks.deadline_tests << " deadline tests\n";
   std::cout << "result hash: " << std::hex << std::setw(16)
             << std::setfill('0') << online_result_hash(res) << std::dec
             << std::setfill(' ') << "\n";
