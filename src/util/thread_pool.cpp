@@ -4,6 +4,10 @@
 
 namespace edgerep {
 
+namespace {
+thread_local bool t_pool_worker = false;
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t threads) {
   // Workers bump registry counters until they are joined.  Building the
   // registry first makes it outlive every pool, the static global_pool()
@@ -48,9 +52,12 @@ void note_parallel_for(std::size_t n) noexcept {
   items.inc(n);
 }
 
+bool on_pool_worker() noexcept { return t_pool_worker; }
+
 }  // namespace detail
 
 void ThreadPool::worker_loop() {
+  t_pool_worker = true;
   for (;;) {
     std::function<void()> task;
     {

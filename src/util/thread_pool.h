@@ -3,6 +3,11 @@
 // repetitions (one per topology seed) concurrently; determinism is preserved
 // because each repetition derives its own RNG substream from (seed, index)
 // and results are written to per-index slots.
+//
+// Data-parallel calls nest: a `parallel_for` / `parallel_for_blocked` made on
+// a pool worker (say, a repetition's Instance::finalize filling its delay
+// table) runs its body inline on that worker.  Queuing it instead would
+// deadlock once every worker waits on tasks queued behind its own.
 #pragma once
 
 #include <algorithm>
@@ -26,12 +31,15 @@ namespace detail {
 void note_queue_depth(std::size_t depth) noexcept;
 /// Counts a parallel_for / parallel_for_blocked dispatch of `n` items.
 void note_parallel_for(std::size_t n) noexcept;
+/// True on a thread-pool worker thread (any pool's).
+bool on_pool_worker() noexcept;
 }  // namespace detail
 
 /// Work-item count above which data-parallel helpers fan out onto the
 /// global pool; below it the dispatch overhead outweighs the work.  Shared
-/// by DelayMatrix::compute, DelayTable::compute, and hop_diameter so the
-/// serial/parallel cutover is tuned in exactly one place.
+/// by the shortest-path row fill (DelayTable, RouteTable, DelayMatrix) and
+/// hop_diameter, so the serial/parallel cutover is tuned in exactly one
+/// place.
 inline constexpr std::size_t kParallelForThreshold = 64;
 
 class ThreadPool {
@@ -66,7 +74,8 @@ class ThreadPool {
   /// Workers claim contiguous index blocks off a shared atomic cursor
   /// (dynamic blocked chunking), so small per-index bodies pay one atomic
   /// bump per block instead of one per index.  Exceptions from any
-  /// iteration are rethrown (the first one observed).
+  /// iteration are rethrown (the first one observed).  Called on a pool
+  /// worker, it runs every index inline on that worker.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
   /// Blocked-range variant: run body(begin, end) over contiguous chunks of
@@ -80,7 +89,7 @@ class ThreadPool {
   void parallel_for_blocked(std::size_t n, F&& body) {
     if (n == 0) return;
     detail::note_parallel_for(n);
-    if (n == 1 || size() == 1) {
+    if (n == 1 || size() == 1 || detail::on_pool_worker()) {
       body(std::size_t{0}, n);
       return;
     }

@@ -131,6 +131,21 @@ TEST(ThreadPool, ParallelForBlockedPropagatesException) {
       std::logic_error);
 }
 
+TEST(ThreadPool, NestedParallelForRunsInline) {
+  // Every worker runs an outer index whose body waits on an inner call to
+  // the same pool.  Queued inner tasks would never run; inline ones do.
+  ThreadPool pool(2);
+  constexpr std::size_t kOuter = 8;
+  constexpr std::size_t kInner = 100;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  pool.parallel_for(kOuter, [&](std::size_t o) {
+    pool.parallel_for(kInner, [&](std::size_t i) {
+      hits[o * kInner + i].fetch_add(1);
+    });
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
 TEST(GlobalPool, IsSingleton) {
   EXPECT_EQ(&global_pool(), &global_pool());
   EXPECT_GE(global_pool().size(), 1u);
