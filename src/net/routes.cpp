@@ -4,28 +4,8 @@
 #include <stdexcept>
 
 #include "net/shortest_path.h"
-#include "util/thread_pool.h"
 
 namespace edgerep {
-
-std::vector<EdgeId> path_edges(const Graph& g,
-                               const std::vector<NodeId>& nodes) {
-  std::vector<EdgeId> edges;
-  for (std::size_t i = 0; i + 1 < nodes.size(); ++i) {
-    EdgeId best = kInvalidEdge;
-    for (const HalfEdge& he : g.neighbors(nodes[i])) {
-      if (he.to != nodes[i + 1]) continue;
-      if (best == kInvalidEdge || he.delay < g.edge(best).delay) {
-        best = he.edge;
-      }
-    }
-    if (best == kInvalidEdge) {
-      throw std::logic_error("path_edges: broken shortest path");
-    }
-    edges.push_back(best);
-  }
-  return edges;
-}
 
 RouteTable RouteTable::compute(const Graph& g,
                                std::span<const NodeId> sources,
@@ -33,28 +13,8 @@ RouteTable RouteTable::compute(const Graph& g,
   RouteTable t;
   t.n_ = g.num_nodes();
   t.sources_.assign(sources.begin(), sources.end());
-  for (const NodeId s : t.sources_) {
-    if (s >= t.n_) {
-      throw std::invalid_argument("RouteTable::compute: source out of range");
-    }
-  }
   t.parent_.resize(t.sources_.size() * t.n_);
-  auto fill_row = [&](std::size_t r) {
-    thread_local DijkstraWorkspace ws;
-    thread_local std::vector<double> dist;
-    dist.resize(t.n_);
-    ws.run(g, t.sources_[r], dist,
-           std::span<NodeId>(t.parent_.data() + r * t.n_, t.n_));
-  };
-  const bool fan_out =
-      parallel && t.sources_.size() > 1 &&
-      (t.n_ > kParallelForThreshold ||
-       t.sources_.size() > kParallelForThreshold);
-  if (fan_out) {
-    global_pool().parallel_for(t.sources_.size(), fill_row);
-  } else {
-    for (std::size_t r = 0; r < t.sources_.size(); ++r) fill_row(r);
-  }
+  fill_shortest_path_rows(g, t.sources_, parallel, {}, t.parent_);
   return t;
 }
 
@@ -68,8 +28,7 @@ bool RouteTable::edge_path(const Graph& g, std::size_t row, NodeId target,
   if (target == source) return true;
   const NodeId* parent = parent_.data() + row * n_;
   // Walk target → source through the parent forest, resolving each hop to
-  // the cheapest parallel edge (same tie-break as path_edges: first
-  // cheapest wins when delays are equal).
+  // the cheapest parallel edge (the first cheapest wins on equal delays).
   for (NodeId v = target; v != source;) {
     const NodeId p = parent[v];
     if (p == kInvalidNode) {  // unreachable from this source

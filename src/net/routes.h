@@ -1,14 +1,13 @@
-// Shortest-path edge routing shared by the testbed simulator and the
-// online flow backend.
+// Shortest-path edge routing shared by the testbed simulator's max-min
+// fair transfers and the online flow backend.
 //
 // The delay model only needs minimum *delays* (DelayTable); the flow-level
 // network model additionally needs the concrete edge sequence each transfer
 // occupies.  `RouteTable` stores one shortest-path parent forest per source
-// (the placement sites' nodes, mirroring DelayTable rows) and extracts the
-// edge ids of a source→target path on demand, picking the cheapest parallel
-// edge at every hop with the same tie-break the testbed simulator has
-// always used (first cheapest wins), so both transfer models route
-// identically.
+// (the placement sites' nodes, mirroring DelayTable rows, filled by the same
+// row fill) and extracts the edge ids of a source→target path on demand,
+// picking the cheapest parallel edge at every hop (the first cheapest wins
+// on equal delays), so both transfer models route identically.
 #pragma once
 
 #include <cstdint>
@@ -18,12 +17,6 @@
 #include "net/graph.h"
 
 namespace edgerep {
-
-/// Edge sequence of a node path, taking the cheapest parallel edge at each
-/// hop.  Throws std::logic_error when consecutive nodes are not adjacent
-/// ("broken shortest path").
-std::vector<EdgeId> path_edges(const Graph& g,
-                               const std::vector<NodeId>& nodes);
 
 /// Per-source shortest-path parent forests with edge-path extraction.
 /// Rows follow the source order handed to compute(); row r of a table built

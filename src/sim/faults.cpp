@@ -1,14 +1,9 @@
 #include "sim/faults.h"
 
-#include <algorithm>
 #include <cmath>
-#include <queue>
-#include <span>
 #include <stdexcept>
 #include <string>
-#include <utility>
-
-#include "net/shortest_path.h"
+#include <vector>
 
 namespace edgerep {
 
@@ -141,56 +136,19 @@ void FaultState::apply_until(const FaultTrace& trace, double until) {
   }
 }
 
-/// Dijkstra from one node honoring the downed-edge mask.  Mirrors the
-/// workspace engine's strict (dist, node) pop order so that with every edge
-/// up the overlay is bit-identical to the fault-free rows.
-namespace {
-
-void masked_dijkstra(const Graph& g, NodeId source,
-                     const std::vector<char>& edge_up,
-                     std::span<double> out_dist) {
-  const std::size_t n = g.num_nodes();
-  std::fill(out_dist.begin(), out_dist.end(), kInfDelay);
-  using Item = std::pair<double, NodeId>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  std::vector<char> done(n, 0);
-  out_dist[source] = 0.0;
-  heap.emplace(0.0, source);
-  while (!heap.empty()) {
-    const auto [d, u] = heap.top();
-    heap.pop();
-    if (done[u]) continue;
-    done[u] = 1;
-    for (const HalfEdge& h : g.neighbors(u)) {
-      if (!edge_up[h.edge]) continue;
-      const double nd = d + h.delay;
-      if (nd < out_dist[h.to]) {
-        out_dist[h.to] = nd;
-        heap.emplace(nd, h.to);
-      }
-    }
-  }
-}
-
-}  // namespace
-
 void FaultState::rebuild_overlay() const {
-  const std::size_t n = inst_->graph().num_nodes();
-  const std::size_t sites = inst_->sites().size();
-  overlay_.assign(sites * n, kInfDelay);
-  for (std::size_t s = 0; s < sites; ++s) {
-    masked_dijkstra(inst_->graph(), inst_->site(static_cast<SiteId>(s)).node,
-                    edge_up_,
-                    std::span<double>(overlay_.data() + s * n, n));
-  }
+  std::vector<NodeId> nodes;
+  nodes.reserve(inst_->sites().size());
+  for (const Site& s : inst_->sites()) nodes.push_back(s.node);
+  overlay_ = DelayTable::compute(inst_->graph(), nodes, /*parallel=*/true,
+                                 edge_up_);
   overlay_dirty_ = false;
 }
 
 double FaultState::path_delay(SiteId from, SiteId to) const {
   if (links_down_ == 0) return inst_->path_delay(from, to);
-  if (overlay_dirty_ || overlay_.empty()) rebuild_overlay();
-  const std::size_t n = inst_->graph().num_nodes();
-  return overlay_[from * n + inst_->site(to).node];
+  if (overlay_dirty_) rebuild_overlay();
+  return overlay_.at(from, inst_->site(to).node);
 }
 
 double FaultState::evaluation_delay(const Query& q, const DatasetDemand& dd,

@@ -30,6 +30,7 @@
 
 #include "cloud/delay.h"
 #include "cloud/instance.h"
+#include "net/shortest_path.h"
 
 namespace edgerep {
 
@@ -72,8 +73,9 @@ void validate_fault_trace(const Instance& inst, const FaultTrace& trace);
 /// Queries (`available`, `deadline_ok`, `path_delay`) answer from the
 /// fault-free instance until the first event is applied, so a default
 /// FaultState is free.  Link faults invalidate the per-site delay rows,
-/// which are recomputed lazily (one Dijkstra per site with downed edges
-/// masked) on the next delay query.
+/// which are recomputed lazily on the next delay query: a DelayTable over
+/// the surviving edges, filled as Instance::finalize fills its table (rows
+/// may fill on the global pool; no result depends on that).
 class FaultState {
  public:
   explicit FaultState(const Instance& inst);
@@ -140,7 +142,7 @@ class FaultState {
 
   /// Lazily recomputed per-site delay rows under the current downed-edge
   /// set (empty & clean while no link fault has ever been applied).
-  mutable std::vector<double> overlay_;  ///< sites × num_nodes, row-major
+  mutable DelayTable overlay_;
   mutable bool overlay_dirty_ = false;
 };
 

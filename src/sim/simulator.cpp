@@ -4,14 +4,12 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <stdexcept>
 #include <vector>
 
 #include "cloud/delay.h"
 #include "net/routes.h"
-#include "net/shortest_path.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
 #include "obs/trace.h"
@@ -242,6 +240,7 @@ SimReport simulate(const ReplicaPlan& plan, const SimConfig& cfg) {
   std::vector<QueryState> queries(inst.queries().size());
   std::vector<Task> tasks;
   std::unique_ptr<FlowEngine> flows;
+  RouteTable routes;  // row = evaluation site
   if (cfg.transfers == SimConfig::TransferModel::kMaxMinFair) {
     std::vector<double> bandwidth;
     bandwidth.reserve(inst.graph().num_edges());
@@ -251,17 +250,17 @@ SimReport simulate(const ReplicaPlan& plan, const SimConfig& cfg) {
       bandwidth.push_back(e.delay > 0.0 ? 1.0 / e.delay : 1e9);
     }
     flows = std::make_unique<FlowEngine>(queue, std::move(bandwidth));
+    std::vector<NodeId> site_nodes;
+    site_nodes.reserve(inst.sites().size());
+    for (const Site& s : inst.sites()) site_nodes.push_back(s.node);
+    routes = RouteTable::compute(inst.graph(), site_nodes);
   }
-  std::map<SiteId, ShortestPathTree> trees;  // per evaluation site, lazy
   ResultCollector results(
-      queue, queries, flows.get(), [&inst, &trees](SiteId from, QueryId m) {
-        auto it = trees.find(from);
-        if (it == trees.end()) {
-          it = trees.emplace(from, dijkstra(inst.graph(), inst.site(from).node))
-                   .first;
-        }
-        const NodeId home = inst.site(inst.query(m).home).node;
-        return path_edges(inst.graph(), it->second.path_to(home));
+      queue, queries, flows.get(), [&inst, &routes](SiteId from, QueryId m) {
+        std::vector<EdgeId> path;
+        routes.edge_path(inst.graph(), from,
+                         inst.site(inst.query(m).home).node, path);
+        return path;
       });
   const bool sharing =
       cfg.discipline == SimConfig::Discipline::kProcessorSharing;

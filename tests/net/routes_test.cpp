@@ -1,0 +1,148 @@
+#include "net/routes.h"
+
+#include <gtest/gtest.h>
+
+#include <numeric>
+#include <stdexcept>
+#include <vector>
+
+#include "net/shortest_path.h"
+#include "net/topology.h"
+#include "util/rng.h"
+
+namespace edgerep {
+namespace {
+
+std::vector<NodeId> all_nodes(const Graph& g) {
+  std::vector<NodeId> nodes(g.num_nodes());
+  std::iota(nodes.begin(), nodes.end(), NodeId{0});
+  return nodes;
+}
+
+/// Nodes visited by walking `path` from `source`; each edge must touch the
+/// node before it.
+std::vector<NodeId> walk(const Graph& g, NodeId source,
+                         const std::vector<EdgeId>& path) {
+  std::vector<NodeId> nodes{source};
+  for (const EdgeId e : path) {
+    const Edge& edge = g.edge(e);
+    EXPECT_TRUE(edge.u == nodes.back() || edge.v == nodes.back());
+    nodes.push_back(edge.other(nodes.back()));
+  }
+  return nodes;
+}
+
+TEST(RouteTable, PrefersCheaperLongerPath) {
+  Graph g(4);
+  g.add_edge(0, 3, 10.0);  // direct but expensive
+  const EdgeId a = g.add_edge(0, 1, 1.0);
+  const EdgeId b = g.add_edge(1, 2, 1.0);
+  const EdgeId c = g.add_edge(2, 3, 1.0);  // 3 hops, total 3
+  const std::vector<NodeId> sources{0};
+  const auto routes = RouteTable::compute(g, sources, /*parallel=*/false);
+  std::vector<EdgeId> path;
+  ASSERT_TRUE(routes.edge_path(g, 0, 3, path));
+  EXPECT_EQ(path, (std::vector<EdgeId>{a, b, c}));
+  EXPECT_EQ(walk(g, 0, path), (std::vector<NodeId>{0, 1, 2, 3}));
+}
+
+TEST(RouteTable, UnreachableTargetHasNoPath) {
+  Graph g(3);
+  g.add_edge(0, 1, 1.0);
+  const std::vector<NodeId> sources{0};
+  const auto routes = RouteTable::compute(g, sources, /*parallel=*/false);
+  std::vector<EdgeId> path{7};  // stale contents are cleared
+  EXPECT_FALSE(routes.edge_path(g, 0, 2, path));
+  EXPECT_TRUE(path.empty());
+  // The source itself is reachable by the empty path.
+  path.push_back(7);
+  EXPECT_TRUE(routes.edge_path(g, 0, 0, path));
+  EXPECT_TRUE(path.empty());
+  EXPECT_THROW(routes.edge_path(g, 1, 0, path), std::out_of_range);
+  EXPECT_THROW(routes.edge_path(g, 0, 3, path), std::out_of_range);
+}
+
+TEST(RouteTable, PathReconstructionIsConsistent) {
+  // Every path leads from its source to its target, and its edge delays,
+  // summed in travel order, are the DelayTable distance bit for bit.
+  Rng rng(77);
+  const Graph g = gnp(40, 0.15, Range{0.1, 2.0}, rng);
+  const std::vector<NodeId> sources{0, 13, 39};
+  const auto routes = RouteTable::compute(g, sources, /*parallel=*/false);
+  const auto delays = DelayTable::compute(g, sources, /*parallel=*/false);
+  std::vector<EdgeId> path;
+  for (std::size_t r = 0; r < sources.size(); ++r) {
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      ASSERT_TRUE(routes.edge_path(g, r, v, path));
+      EXPECT_EQ(walk(g, sources[r], path).back(), v);
+      double sum = 0.0;
+      for (const EdgeId e : path) sum += g.edge(e).delay;
+      EXPECT_EQ(sum, delays.at(r, v)) << "row " << r << " target " << v;
+    }
+  }
+}
+
+TEST(RouteTable, CheapestParallelEdgeWins) {
+  Graph g(3);
+  g.add_edge(0, 1, 5.0);
+  const EdgeId cheap = g.add_edge(0, 1, 2.0);
+  g.add_edge(0, 1, 3.0);
+  const EdgeId next = g.add_edge(1, 2, 1.0);
+  const std::vector<NodeId> sources{0, 2};
+  const auto routes = RouteTable::compute(g, sources, /*parallel=*/false);
+  std::vector<EdgeId> path;
+  ASSERT_TRUE(routes.edge_path(g, 0, 2, path));
+  EXPECT_EQ(path, (std::vector<EdgeId>{cheap, next}));
+  ASSERT_TRUE(routes.edge_path(g, 1, 0, path));
+  EXPECT_EQ(path, (std::vector<EdgeId>{next, cheap}));
+}
+
+TEST(RouteTable, FirstOfEqualParallelEdgesWins) {
+  Graph g(2);
+  g.add_edge(0, 1, 4.0);
+  const EdgeId first = g.add_edge(0, 1, 1.5);
+  g.add_edge(0, 1, 1.5);
+  g.add_edge(0, 1, 1.5);
+  const std::vector<NodeId> sources{0, 1};
+  for (const bool sealed : {false, true}) {
+    if (sealed) g.seal();
+    const auto routes = RouteTable::compute(g, sources, /*parallel=*/false);
+    std::vector<EdgeId> path;
+    ASSERT_TRUE(routes.edge_path(g, 0, 1, path));
+    EXPECT_EQ(path, std::vector<EdgeId>{first});
+    ASSERT_TRUE(routes.edge_path(g, 1, 0, path));
+    EXPECT_EQ(path, std::vector<EdgeId>{first});
+  }
+}
+
+TEST(RouteTable, ParallelEqualsSerial) {
+  // 100 rows fan out onto the pool; every path must match the serial fill.
+  Rng rng(79);
+  Graph g = gnp(100, 0.06, Range{0.1, 1.0}, rng);
+  const std::size_t m = g.num_edges();
+  for (EdgeId e = 0; e < m; e += 5) {
+    const Edge edge = g.edge(e);
+    g.add_edge(edge.u, edge.v, rng.uniform(0.1, 1.0));  // a parallel edge
+  }
+  g.seal();
+  const auto sources = all_nodes(g);
+  const auto serial = RouteTable::compute(g, sources, /*parallel=*/false);
+  const auto parallel = RouteTable::compute(g, sources, /*parallel=*/true);
+  std::vector<EdgeId> a;
+  std::vector<EdgeId> b;
+  for (std::size_t r = 0; r < sources.size(); ++r) {
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      ASSERT_EQ(serial.edge_path(g, r, v, a), parallel.edge_path(g, r, v, b));
+      ASSERT_EQ(a, b) << "row " << r << " target " << v;
+    }
+  }
+}
+
+TEST(RouteTable, RejectsOutOfRangeSources) {
+  const Graph g(3);
+  const std::vector<NodeId> bad{0, 3};
+  EXPECT_THROW(RouteTable::compute(g, bad), std::invalid_argument);
+}
+
+}  // namespace
+}  // namespace edgerep

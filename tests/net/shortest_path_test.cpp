@@ -39,10 +39,7 @@ TEST(Dijkstra, PrefersCheaperLongerPath) {
   g.add_edge(2, 3, 1.0);        // 3 hops, total 3
   const auto t = dijkstra(g, 0);
   EXPECT_DOUBLE_EQ(t.dist[3], 3.0);
-  const auto path = t.path_to(3);
-  ASSERT_EQ(path.size(), 4u);
-  EXPECT_EQ(path.front(), 0u);
-  EXPECT_EQ(path.back(), 3u);
+  EXPECT_EQ(t.parent[3], 2u);
 }
 
 TEST(Dijkstra, UnreachableIsInfinite) {
@@ -51,7 +48,7 @@ TEST(Dijkstra, UnreachableIsInfinite) {
   const auto t = dijkstra(g, 0);
   EXPECT_FALSE(t.reachable(2));
   EXPECT_EQ(t.dist[2], kInfDelay);
-  EXPECT_TRUE(t.path_to(2).empty());
+  EXPECT_EQ(t.parent[2], kInvalidNode);
 }
 
 TEST(Dijkstra, ZeroWeightEdges) {
@@ -65,27 +62,6 @@ TEST(Dijkstra, ZeroWeightEdges) {
 TEST(Dijkstra, OutOfRangeSourceThrows) {
   const Graph g(2);
   EXPECT_THROW(dijkstra(g, 7), std::invalid_argument);
-}
-
-TEST(Dijkstra, PathReconstructionIsConsistent) {
-  Rng rng(77);
-  const Graph g = gnp(40, 0.15, Range{0.1, 2.0}, rng);
-  const auto t = dijkstra(g, 0);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    const auto path = t.path_to(v);
-    ASSERT_FALSE(path.empty());
-    // Path delays must sum to the reported distance.
-    double sum = 0.0;
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      double best = kInfDelay;
-      for (const HalfEdge& he : g.neighbors(path[i])) {
-        if (he.to == path[i + 1]) best = std::min(best, he.delay);
-      }
-      ASSERT_LT(best, kInfDelay);
-      sum += best;
-    }
-    EXPECT_NEAR(sum, t.dist[v], 1e-9);
-  }
 }
 
 TEST(DelayMatrix, MatchesDijkstraRows) {
