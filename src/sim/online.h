@@ -27,10 +27,13 @@
 // deterministic inputs (workload/fault_gen.h derives per-component
 // substreams from its own seed).  Fault events are scheduled before
 // arrivals, so a fault and an arrival at the same instant resolve
-// fault-first.  Nothing in the run is threaded — identical (instance,
-// config) inputs therefore reproduce identical fault+arrival event
-// orderings and outcomes bit-for-bit, regardless of the thread count used
-// to finalize the instance (pinned by tests/sim/online_test.cpp).
+// fault-first.  The event loop is single-threaded; only the link-fault
+// overlay's delay rows (and the flow backend's route rows) may fill on the
+// global pool, and rows are independent, so that cannot change a result.
+// Identical (instance, config) inputs therefore reproduce identical
+// fault+arrival event orderings and outcomes bit-for-bit, regardless of
+// the thread count used to finalize the instance (pinned by
+// tests/sim/online_test.cpp).
 #pragma once
 
 #include <atomic>
