@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "baselines/greedy.h"
+#include "cloud/delay.h"
 #include "core/appro.h"
 #include "core/local_search.h"
 #include "core/repair.h"
@@ -193,6 +194,60 @@ TEST_F(PlanGolden, RepairUnderEveryOrder) {
               std::to_string(st.replicas_placed));
     }
   }
+}
+
+// Appro-G, then repair, in the perfbench `admission` shape: 1000 sites,
+// deadlines that leave each demand a few percent of the sites, K = 32 on a
+// Zipf(1) population and available capacity at total demand / 1.5.  The
+// instances above leave most sites deadline-feasible; this one pins the
+// plans built from short candidate rows.
+TEST_F(PlanGolden, ApproThenRepairAtTightDeadlines) {
+  StreamWorkloadConfig wc;
+  wc.sites = 1000;
+  wc.queries = 5'000;
+  wc.datasets = 256;
+  wc.max_demands = 3;
+  wc.max_replicas = 32;
+  wc.zipf_exponent = 1.0;
+  wc.deadline_per_gb = {0.03, 0.06};
+  wc.selectivity = {0.4, 0.8};
+  wc.proc_delay = {0.005, 0.02};
+  wc.volume = {3.0, 4.0};
+  Instance inst = stream_instance(wc, 0x1d5);
+  double demand = 0.0;
+  std::size_t slots = 0;
+  for (const Query& q : inst.queries()) {
+    for (const DatasetDemand& dd : q.demands) {
+      demand += resource_demand(inst, q, dd);
+      ++slots;
+    }
+  }
+  double capacity = 0.0;
+  for (const Site& s : inst.sites()) capacity += s.capacity;
+  const double factor = demand / 1.5 / capacity;
+  ASSERT_LT(factor, 1.0);
+  for (const Site& s : inst.sites()) {
+    inst.set_available(s.id, s.capacity * factor);
+  }
+
+  const ApproResult solved = appro_g(inst);
+  const RepairEngine engine(inst);
+  EXPECT_LT(static_cast<double>(engine.index().size()),
+            0.05 * static_cast<double>(slots * inst.sites().size()));
+  const FaultState faults = mixed_faults(inst, solved.plan);
+  ASSERT_TRUE(faults.any_link_down());
+  ReplicaPlan plan = solved.plan;
+  DualState duals = solved.duals;
+  const RepairStats st = engine.repair(plan, duals, faults);
+  EXPECT_GT(st.queries_evicted, 0u);
+  testing::expect_golden(
+      "plans/repair/tight_deadlines",
+      appro_fp(solved) + " " + testing::plan_fp(plan, duals.objective()) +
+          " repair=" + std::to_string(st.queries_evicted) + ":" +
+          std::to_string(st.queries_readmitted) + ":" +
+          std::to_string(st.queries_lost) + ":" +
+          std::to_string(st.replicas_lost) + ":" +
+          std::to_string(st.replicas_placed));
 }
 
 std::string stream_fp(const StreamResult& r) {
