@@ -7,7 +7,8 @@
 //
 // BENCH_appro.json: median ns/query of the admission engine for the special
 // (S, one dataset per query) and general (G, multi-dataset) cases at three
-// instance sizes.
+// instance sizes, plus the median CandidateIndex build time and entry count
+// at the perfbench `admission` shape (case "index").
 //
 // BENCH_substrate.json: the site-rows DelayTable vs the dense all-pairs
 // DelayMatrix on ~degree-8 graphs with 10% placement sites — precompute
@@ -122,11 +123,46 @@ int emit_appro(const std::string& out_path, int reps) {
     out << "    {\"case\": \"" << c.name << "\", \"network_size\": "
         << c.network << ", \"queries\": " << c.queries
         << ", \"savepoint_ns_per_query\": " << static_cast<long long>(sp_ns)
-        << "}" << (i + 1 < cases.size() ? "," : "") << "\n";
+        << "},\n";
 
     std::cerr << c.name << " " << c.network << "x" << c.queries
               << ": savepoint " << static_cast<long long>(sp_ns)
               << " ns/query\n";
+  }
+
+  // The candidate index at the perfbench `admission` shape: 1000 sites,
+  // 50k queries of 1-3 demands, and deadlines that leave each demand ~19
+  // deadline-feasible sites.
+  {
+    StreamWorkloadConfig wc;
+    wc.sites = 1000;
+    wc.queries = 50'000;
+    wc.datasets = 256;
+    wc.max_demands = 3;
+    wc.max_replicas = 32;
+    wc.zipf_exponent = 1.0;
+    wc.deadline_per_gb = {0.03, 0.06};
+    wc.selectivity = {0.4, 0.8};
+    wc.proc_delay = {0.005, 0.02};
+    wc.volume = {3.0, 4.0};
+    const Instance inst = stream_instance(wc, /*seed=*/42);
+    std::vector<double> samples;
+    std::size_t candidates = 0;
+    for (int r = 0; r < reps; ++r) {
+      const auto t0 = clock_type::now();
+      const CandidateIndex index(inst);
+      samples.push_back(
+          std::chrono::duration<double, std::milli>(clock_type::now() - t0)
+              .count());
+      candidates = index.size();
+    }
+    const double ms = median(std::move(samples));
+    out << "    {\"case\": \"index\", \"sites\": " << wc.sites
+        << ", \"queries\": " << wc.queries
+        << ", \"index_build_ms\": " << round2(ms)
+        << ", \"candidates\": " << candidates << "}\n";
+    std::cerr << "index " << wc.sites << "x" << wc.queries << ": " << ms
+              << " ms, " << candidates << " candidates\n";
   }
 
   // Observability overhead on the largest G case: the same workload timed
