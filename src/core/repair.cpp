@@ -117,11 +117,7 @@ bool admit_demand_faulted(const Instance& inst, const CandidateIndex& index,
 }  // namespace
 
 RepairEngine::RepairEngine(const Instance& inst)
-    : inst_(&inst), index_(inst) {
-  if (!inst.finalized()) {
-    throw std::invalid_argument("RepairEngine: instance not finalized");
-  }
-}
+    : inst_(&inst), index_(inst) {}
 
 RepairStats RepairEngine::repair(ReplicaPlan& plan, DualState& duals,
                                  const FaultState& faults,

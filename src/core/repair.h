@@ -72,6 +72,8 @@ struct RepairStats {
 /// from the original solve).
 class RepairEngine {
  public:
+  /// Throws std::invalid_argument (from the index build) when `inst` is
+  /// not finalized.
   explicit RepairEngine(const Instance& inst);
 
   [[nodiscard]] const Instance& instance() const noexcept { return *inst_; }

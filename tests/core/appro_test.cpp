@@ -4,6 +4,8 @@
 
 #include <stdexcept>
 
+#include "core/candidate_index.h"
+#include "core/repair.h"
 #include "helpers/fixtures.h"
 
 namespace edgerep {
@@ -147,6 +149,8 @@ TEST(ApproG, UnfinalizedInstanceThrows) {
   Instance inst(std::move(g));
   inst.add_site(0, 1.0, 0.1);
   EXPECT_THROW(appro_g(inst), std::invalid_argument);
+  EXPECT_THROW(RepairEngine{inst}, std::invalid_argument);
+  EXPECT_THROW(CandidateIndex{inst}, std::invalid_argument);
 }
 
 TEST(ApproG, AbundantResourcesAdmitEveryFeasibleDemand) {
