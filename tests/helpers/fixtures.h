@@ -3,7 +3,9 @@
 
 #include <cstdint>
 
+#include "cloud/delay.h"
 #include "cloud/instance.h"
+#include "workload/arrival_gen.h"
 #include "workload/generator.h"
 
 namespace edgerep::testing {
@@ -65,6 +67,38 @@ inline Instance medium_instance(std::uint64_t seed, std::size_t f_max = 4) {
   cfg.max_queries = 60;
   cfg.max_datasets_per_query = f_max;
   return generate_instance(cfg, seed);
+}
+
+/// The perfbench `admission` shape at 5k queries: 1000 sites, deadlines
+/// that leave each demand a few percent of the sites, K = 32 on a Zipf(1)
+/// population of 256 datasets, and available capacity scaled to total
+/// demand / 1.5, so capacity and K both bind.
+inline Instance tight_deadline_instance() {
+  StreamWorkloadConfig wc;
+  wc.sites = 1000;
+  wc.queries = 5'000;
+  wc.datasets = 256;
+  wc.max_demands = 3;
+  wc.max_replicas = 32;
+  wc.zipf_exponent = 1.0;
+  wc.deadline_per_gb = {0.03, 0.06};
+  wc.selectivity = {0.4, 0.8};
+  wc.proc_delay = {0.005, 0.02};
+  wc.volume = {3.0, 4.0};
+  Instance inst = stream_instance(wc, 0x1d5);
+  double demand = 0.0;
+  for (const Query& q : inst.queries()) {
+    for (const DatasetDemand& dd : q.demands) {
+      demand += resource_demand(inst, q, dd);
+    }
+  }
+  double capacity = 0.0;
+  for (const Site& s : inst.sites()) capacity += s.capacity;
+  const double factor = demand / 1.5 / capacity;
+  for (const Site& s : inst.sites()) {
+    inst.set_available(s.id, s.capacity * factor);
+  }
+  return inst;
 }
 
 }  // namespace edgerep::testing

@@ -18,6 +18,7 @@
 #include "core/appro.h"
 #include "core/local_search.h"
 #include "core/repair.h"
+#include "helpers/fixtures.h"
 #include "helpers/golden.h"
 #include "obs/audit.h"
 #include "obs/obs.h"
@@ -196,39 +197,15 @@ TEST_F(PlanGolden, RepairUnderEveryOrder) {
   }
 }
 
-// Appro-G, then repair, in the perfbench `admission` shape: 1000 sites,
-// deadlines that leave each demand a few percent of the sites, K = 32 on a
-// Zipf(1) population and available capacity at total demand / 1.5.  The
-// instances above leave most sites deadline-feasible; this one pins the
-// plans built from short candidate rows.
+// Appro-G, then repair, in the perfbench `admission` shape
+// (testing::tight_deadline_instance).  The instances above leave most sites
+// deadline-feasible; this one pins the plans built from short candidate
+// rows.
 TEST_F(PlanGolden, ApproThenRepairAtTightDeadlines) {
-  StreamWorkloadConfig wc;
-  wc.sites = 1000;
-  wc.queries = 5'000;
-  wc.datasets = 256;
-  wc.max_demands = 3;
-  wc.max_replicas = 32;
-  wc.zipf_exponent = 1.0;
-  wc.deadline_per_gb = {0.03, 0.06};
-  wc.selectivity = {0.4, 0.8};
-  wc.proc_delay = {0.005, 0.02};
-  wc.volume = {3.0, 4.0};
-  Instance inst = stream_instance(wc, 0x1d5);
-  double demand = 0.0;
+  const Instance inst = testing::tight_deadline_instance();
   std::size_t slots = 0;
-  for (const Query& q : inst.queries()) {
-    for (const DatasetDemand& dd : q.demands) {
-      demand += resource_demand(inst, q, dd);
-      ++slots;
-    }
-  }
-  double capacity = 0.0;
-  for (const Site& s : inst.sites()) capacity += s.capacity;
-  const double factor = demand / 1.5 / capacity;
-  ASSERT_LT(factor, 1.0);
-  for (const Site& s : inst.sites()) {
-    inst.set_available(s.id, s.capacity * factor);
-  }
+  for (const Query& q : inst.queries()) slots += q.demands.size();
+  ASSERT_LT(inst.site(0).available, inst.site(0).capacity);
 
   const ApproResult solved = appro_g(inst);
   const RepairEngine engine(inst);
@@ -280,6 +257,31 @@ TEST_F(PlanGolden, StreamReconcile) {
   EXPECT_GT(dc.requeues, 0u);
   EXPECT_GT(dc.ledger_releases, dc.conflicts);
   testing::expect_golden("plans/stream/s4_dc", stream_fp(dc));
+}
+
+// The stream plane on the tight-deadline instance: one shard over a
+// query-id-ordered stream (batch Appro-G in input order), and eight shards
+// over a shuffled stream, where shards conflict and losers re-queue.
+TEST_F(PlanGolden, StreamAtTightDeadlines) {
+  const Instance inst = testing::tight_deadline_instance();
+  StreamOptions one;
+  one.shards = 1;
+  const StreamResult id_order = run_stream(
+      inst,
+      generate_arrival_stream(inst, 20'000.0, 7, ArrivalOrder::kQueryId),
+      one);
+  EXPECT_GT(id_order.queries_rejected, 0u);
+  testing::expect_golden("plans/stream/tight_deadlines_s1",
+                         stream_fp(id_order));
+
+  StreamOptions eight;
+  eight.shards = 8;
+  const StreamResult shuffled =
+      run_stream(inst, generate_arrival_stream(inst, 20'000.0, 7), eight);
+  EXPECT_GT(shuffled.conflicts, 0u);
+  EXPECT_GT(shuffled.queries_rejected, 0u);
+  testing::expect_golden("plans/stream/tight_deadlines_s8",
+                         stream_fp(shuffled));
 }
 
 TEST_F(PlanGolden, AuditOfTransactionalPaths) {
