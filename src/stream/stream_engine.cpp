@@ -108,10 +108,13 @@ StreamResult run_stream(const Instance& inst, std::span<const Arrival> stream,
       std::max<std::size_t>(1, std::min(opts.shards, inst.sites().size()));
 
   const ShardMap map(inst, shards, opts.boundary);
+  // One row source for every shard, filled before phase 1 and read-only
+  // from then on.
+  const RowSource rows(inst, opts.parallel);
   std::vector<ShardEngine> engines;
   engines.reserve(shards);
   for (std::uint32_t sh = 0; sh < shards; ++sh) {
-    engines.emplace_back(inst, map, sh);
+    engines.emplace_back(inst, map, sh, rows);
   }
 
   // Causal steps go to one sink (obs/causal_sink.h), and only from the
