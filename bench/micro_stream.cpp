@@ -22,9 +22,9 @@ namespace {
 /// linear has_replica scan.
 struct KernelCase {
   std::vector<SiteId> site;
-  std::vector<double> inv_avail;
   std::vector<double> dod;
   std::vector<double> theta;
+  std::vector<double> inv_avail;  // per site: 1 / avail
   std::vector<double> avail;
   std::vector<double> load;
   std::vector<SiteId> replicas;
@@ -33,17 +33,17 @@ struct KernelCase {
     Rng rng(0xbe9c5ULL + n);
     const std::size_t sites = 2 * n;
     theta.resize(sites);
+    inv_avail.resize(sites);
     avail.resize(sites);
     load.resize(sites);
     for (std::size_t s = 0; s < sites; ++s) {
       theta[s] = rng.uniform(0.0, 2.0);
       avail[s] = rng.uniform(50.0, 100.0);
+      inv_avail[s] = 1.0 / avail[s];
       load[s] = rng.uniform(0.0, avail[s]);
     }
     for (std::size_t i = 0; i < n; ++i) {
-      const auto s = static_cast<SiteId>(2 * i);
-      site.push_back(s);
-      inv_avail.push_back(1.0 / avail[s]);
+      site.push_back(static_cast<SiteId>(2 * i));
       dod.push_back(rng.uniform(0.0, 1.0));
     }
     for (const std::size_t s : rng.sample_indices(sites, 16)) {
@@ -51,7 +51,7 @@ struct KernelCase {
     }
   }
 
-  [[nodiscard]] CandidateSoA soa() const { return {site, inv_avail, dod}; }
+  [[nodiscard]] CandidateSoA soa() const { return {site, dod}; }
 };
 
 void BM_PriceCandidatesVectorized(benchmark::State& state) {
@@ -63,8 +63,8 @@ void BM_PriceCandidatesVectorized(benchmark::State& state) {
   for (auto _ : state) {
     mask.set(c.replicas);
     benchmark::DoNotOptimize(price_candidates(
-        c.soa(), {c.theta, c.avail, c.load, mask.bytes(), true}, 3.0, 0.25,
-        0.5));
+        c.soa(), {c.theta, c.inv_avail, c.avail, c.load, mask.bytes(), true},
+        3.0, 0.25, 0.5));
     mask.clear(c.replicas);
   }
   state.counters["ns/cand"] = benchmark::Counter(
@@ -77,8 +77,8 @@ void BM_PriceCandidatesScalar(benchmark::State& state) {
   const KernelCase c(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(price_candidates_reference(
-        c.soa(), {c.theta, c.avail, c.load, c.replicas, true}, 3.0, 0.25,
-        0.5));
+        c.soa(), {c.theta, c.inv_avail, c.avail, c.load, c.replicas, true},
+        3.0, 0.25, 0.5));
   }
   state.counters["ns/cand"] = benchmark::Counter(
       static_cast<double>(state.range(0)) *

@@ -57,7 +57,7 @@ bool admit_demand(const Instance& inst, const CandidateIndex& index,
       const double delay = evaluation_delay(inst, q, dd, l);
       if (delay > q.deadline) return;
       if (!plan.fits(l, need)) return;
-      double p = duals.theta(l) + need * index.inv_avail(l) +
+      double p = duals.theta(l) + need * index.inv_avail()[l] +
                  kEtaWeight * (delay * inv_deadline);
       if (needs_replica) p += mu_term;
       if (best_site == kInvalidSite || p < best_price) {
@@ -85,8 +85,8 @@ bool admit_demand(const Instance& inst, const CandidateIndex& index,
     mask.set(reps);
     const PricedChoice ch = price_candidates(
         index.soa(q.id, di),
-        {duals.theta_data(), index.avail(), plan.loads(), mask.bytes(),
-         budget_left},
+        {duals.theta_data(), index.inv_avail(), index.avail(), plan.loads(),
+         mask.bytes(), budget_left},
         need, kEtaWeight, mu_term);
     mask.clear(reps);
     if (ch.candidate != PricedChoice::kNoCandidate) {
@@ -114,7 +114,7 @@ bool admit_demand(const Instance& inst, const CandidateIndex& index,
       audit->site = best_site;
       audit->placed_replica = best_needs_replica;
       audit->theta_term = duals.theta(best_site);
-      audit->capacity_term = need * index.inv_avail(best_site);
+      audit->capacity_term = need * index.inv_avail()[best_site];
       audit->eta_term =
           kEtaWeight * (evaluation_delay(inst, q, dd, best_site) / q.deadline);
       audit->mu_term = best_needs_replica ? mu_term : 0.0;

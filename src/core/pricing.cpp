@@ -21,8 +21,8 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// running argmin.  Also serves as the tail loop of the SIMD paths: indices
 /// past `begin` are larger than any SIMD-scanned index, so the strict `<`
 /// keeps first-wins tie-breaking intact.
-inline void portable_scan(const SiteId* sites, const double* inv,
-                          const double* dod, const double* theta,
+inline void portable_scan(const SiteId* sites, const double* dod,
+                          const double* theta, const double* inv,
                           const double* avail, const double* load,
                           const std::uint8_t* replica, double budget,
                           double need, double eta_weight, double mu_term,
@@ -35,7 +35,7 @@ inline void portable_scan(const SiteId* sites, const double* inv,
     // conditional μ surcharge.  `has` selects between +μ and +0.0; adding
     // 0.0 to a non-negative finite price keeps its bits, so the branchy
     // `if (!has) p += μ` and this select agree exactly.
-    double p = theta[s] + need * inv[i] + eta_weight * dod[i];
+    double p = theta[s] + need * inv[s] + eta_weight * dod[i];
     p += (has != 0.0) ? 0.0 : mu_term;
     // Feasibility mask: (replica already there OR budget left) AND capacity
     // fits.  The comparison mirrors ReplicaPlan::fits bit-exactly.
@@ -60,8 +60,8 @@ inline void portable_scan(const SiteId* sites, const double* inv,
 /// reduction prefers the smaller index on exact price ties, which together
 /// reproduce the scalar first-wins order.
 __attribute__((target("avx2"))) void avx2_scan(
-    const SiteId* sites, const double* inv, const double* dod,
-    const double* theta, const double* avail, const double* load,
+    const SiteId* sites, const double* dod, const double* theta,
+    const double* inv, const double* avail, const double* load,
     const std::uint8_t* replica, double budget, double need,
     double eta_weight, double mu_term, std::size_t n, double& best_price,
     std::size_t& best_i) {
@@ -87,6 +87,7 @@ __attribute__((target("avx2"))) void avx2_scan(
     // Masked gathers with an all-ones mask load every lane exactly like
     // the unmasked form, but start from a defined source register.
     const __m256d vth = _mm256_mask_i32gather_pd(vzero, theta, vsite, vall, 8);
+    const __m256d vinv = _mm256_mask_i32gather_pd(vzero, inv, vsite, vall, 8);
     const __m256d vav = _mm256_mask_i32gather_pd(vzero, avail, vsite, vall, 8);
     const __m256d vld = _mm256_mask_i32gather_pd(vzero, load, vsite, vall, 8);
     const __m256d vhas = _mm256_set_pd(
@@ -94,7 +95,6 @@ __attribute__((target("avx2"))) void avx2_scan(
         static_cast<double>(replica[sites[i + 2]]),
         static_cast<double>(replica[sites[i + 1]]),
         static_cast<double>(replica[sites[i]]));
-    const __m256d vinv = _mm256_loadu_pd(inv + i);
     const __m256d vdod = _mm256_loadu_pd(dod + i);
 
     __m256d p = _mm256_add_pd(
@@ -125,7 +125,7 @@ __attribute__((target("avx2"))) void avx2_scan(
       best_i = static_cast<std::size_t>(lane_index[k]);
     }
   }
-  portable_scan(sites, inv, dod, theta, avail, load, replica, budget, need,
+  portable_scan(sites, dod, theta, inv, avail, load, replica, budget, need,
                 eta_weight, mu_term, i, n, best_price, best_i);
 }
 
@@ -143,9 +143,9 @@ PricedChoice price_candidates(const CandidateSoA& soa,
                               double eta_weight, double mu_term) {
   const std::size_t n = soa.size();
   const SiteId* const sites = soa.site.data();
-  const double* const inv = soa.inv_avail.data();
   const double* const dod = soa.dod.data();
   const double* const theta = state.theta.data();
+  const double* const inv = state.inv_avail.data();
   const double* const avail = state.avail.data();
   const double* const load = state.load.data();
   const std::uint8_t* const replica = state.replica.data();
@@ -156,14 +156,14 @@ PricedChoice price_candidates(const CandidateSoA& soa,
   std::size_t best_i = PricedChoice::kNoCandidate;
 #if EDGEREP_PRICING_X86
   if (n >= 8 && cpu_has_avx2()) {
-    avx2_scan(sites, inv, dod, theta, avail, load, replica, budget, need,
+    avx2_scan(sites, dod, theta, inv, avail, load, replica, budget, need,
               eta_weight, mu_term, n, best_price, best_i);
   } else {
-    portable_scan(sites, inv, dod, theta, avail, load, replica, budget, need,
+    portable_scan(sites, dod, theta, inv, avail, load, replica, budget, need,
                   eta_weight, mu_term, 0, n, best_price, best_i);
   }
 #else
-  portable_scan(sites, inv, dod, theta, avail, load, replica, budget, need,
+  portable_scan(sites, dod, theta, inv, avail, load, replica, budget, need,
                 eta_weight, mu_term, 0, n, best_price, best_i);
 #endif
   if (best_i != PricedChoice::kNoCandidate) {
@@ -196,7 +196,7 @@ PricedChoice price_candidates_reference(const CandidateSoA& soa,
     }
     if (!has && !state.budget_left) continue;
     if (!(need <= (state.avail[s] - state.load[s]) + kCapacityEps)) continue;
-    double p = state.theta[s] + need * soa.inv_avail[i] +
+    double p = state.theta[s] + need * state.inv_avail[s] +
                eta_weight * soa.dod[i];
     if (!has) p += mu_term;
     if (p < best_price) {

@@ -8,10 +8,10 @@
 // feasibility masking (existing replica or budget left, residual capacity
 // fits).  The reference oracle walks the candidates one at a time and asks
 // the plan's replica list per candidate (`has_replica` is a linear scan);
-// this kernel instead lays the static factors out as struct-of-arrays (site
-// ids, capacity reciprocals, η bases) and computes every candidate's price
-// in one branch-light pass over contiguous buffers, gathering only the
-// dynamic state (θ, committed load, a replica byte-mask) by site id.
+// this kernel instead lays each row out as struct-of-arrays (site ids, η
+// bases) and computes every candidate's price in one branch-light pass over
+// contiguous buffers, gathering the per-site state (θ, capacity reciprocal,
+// availability, committed load, a replica byte-mask) by site id.
 //
 // Equivalence contract: the kernel performs *exactly* the reference's
 // floating-point operations in the same order — `θ + need·inv + η·dod`, a
@@ -38,23 +38,24 @@ inline constexpr double kEtaWeight = 0.25;
 /// Weight μ of the replica-creation surcharge; a fresh replica pays μ/K.
 inline constexpr double kReplicaWeight = 0.5;
 
-/// Struct-of-arrays view of one demand's pruned candidate list.  All three
-/// spans have equal length; entry i describes the i-th deadline-feasible
-/// site in ascending site-id order.
+/// Struct-of-arrays view of one demand's pruned candidate list.  Both spans
+/// have equal length; entry i describes the i-th deadline-feasible site in
+/// ascending site-id order.
 struct CandidateSoA {
   std::span<const SiteId> site;        ///< candidate site ids
-  std::span<const double> inv_avail;   ///< 1 / max(A(v), 1e-12), pre-gathered
   std::span<const double> dod;         ///< delay / deadline (the η base)
 
   [[nodiscard]] std::size_t size() const noexcept { return site.size(); }
 };
 
-/// Dynamic state the kernel gathers by site id.  `avail` and `load` back the
-/// capacity check `need ≤ (avail[s] − load[s]) + kCapacityEps`; `replica`
-/// is a byte-mask (1 = site holds a replica of the demanded dataset) over
-/// all sites, maintained by the caller (see ReplicaMaskWorkspace).
+/// Per-site state the kernel gathers by site id.  `avail` and `load` back
+/// the capacity check `need ≤ (avail[s] − load[s]) + kCapacityEps`;
+/// `replica` is a byte-mask (1 = site holds a replica of the demanded
+/// dataset) over all sites, maintained by the caller (see
+/// ReplicaMaskWorkspace).
 struct PricingState {
   std::span<const double> theta;         ///< per site: dual capacity price
+  std::span<const double> inv_avail;     ///< per site: 1 / max(A(v_l), 1e-12)
   std::span<const double> avail;         ///< per site: A(v_l), raw
   std::span<const double> load;          ///< per site: committed load
   std::span<const std::uint8_t> replica; ///< per site: replica mask bytes
@@ -83,6 +84,7 @@ PricedChoice price_candidates(const CandidateSoA& soa,
 /// this list into ReplicaMaskWorkspace bytes.
 struct ReferencePricingState {
   std::span<const double> theta;         ///< per site: dual capacity price
+  std::span<const double> inv_avail;     ///< per site: 1 / max(A(v_l), 1e-12)
   std::span<const double> avail;         ///< per site: A(v_l), raw
   std::span<const double> load;          ///< per site: committed load
   std::span<const SiteId> replicas;      ///< sites holding the dataset

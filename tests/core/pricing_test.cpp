@@ -27,9 +27,9 @@ using testing::small_instance;
 
 struct RandomCase {
   std::vector<SiteId> site;
-  std::vector<double> inv_avail;
   std::vector<double> dod;
   std::vector<double> theta;
+  std::vector<double> inv_avail;  // per site: 1 / avail
   std::vector<double> avail;
   std::vector<double> load;
   std::vector<std::uint8_t> replica;
@@ -39,12 +39,12 @@ struct RandomCase {
   double eta = 0.25;
   double mu = 0.25;
 
-  [[nodiscard]] CandidateSoA soa() const { return {site, inv_avail, dod}; }
+  [[nodiscard]] CandidateSoA soa() const { return {site, dod}; }
   [[nodiscard]] PricingState state() const {
-    return {theta, avail, load, replica, budget_left};
+    return {theta, inv_avail, avail, load, replica, budget_left};
   }
   [[nodiscard]] ReferencePricingState ref_state() const {
-    return {theta, avail, load, replicas, budget_left};
+    return {theta, inv_avail, avail, load, replicas, budget_left};
   }
 };
 
@@ -68,7 +68,6 @@ RandomCase make_case(Rng& rng) {
   const auto chosen = rng.sample_indices(sites, cands);
   for (const std::size_t s : chosen) {
     c.site.push_back(static_cast<SiteId>(s));
-    c.inv_avail.push_back(1.0 / c.avail[s]);
     c.dod.push_back(rng.uniform(0.0, 1.0));
   }
   c.need = rng.uniform(0.1, 20.0);
@@ -84,10 +83,7 @@ RandomCase make_case(Rng& rng) {
         c.load[s] = 1.0;
         c.replica[s] = 1;
       }
-      for (std::size_t i = 0; i < c.site.size(); ++i) {
-        c.inv_avail[i] = 1.0 / 50.0;
-        c.dod[i] = 0.25;
-      }
+      for (std::size_t i = 0; i < c.site.size(); ++i) c.dod[i] = 0.25;
       break;
     case 1:  // replica budget binding: no replicas anywhere, budget spent
       std::fill(c.replica.begin(), c.replica.end(), std::uint8_t{0});
@@ -103,6 +99,7 @@ RandomCase make_case(Rng& rng) {
       break;
   }
   for (std::size_t s = 0; s < sites; ++s) {
+    c.inv_avail.push_back(1.0 / c.avail[s]);
     if (c.replica[s] != 0) c.replicas.push_back(static_cast<SiteId>(s));
   }
   return c;
@@ -143,16 +140,16 @@ TEST(PricingKernel, RandomizedBitIdentityAgainstScalarOracle) {
 TEST(PricingKernel, ExactTieBreaksToFirstCandidate) {
   // Three identical candidates: strict-< argmin must keep the first.
   const std::vector<SiteId> site{2, 5, 7};
-  const std::vector<double> inv(3, 0.02);
   const std::vector<double> dod(3, 0.5);
   std::vector<double> theta(8, 0.3);
+  const std::vector<double> inv(8, 0.02);
   std::vector<double> avail(8, 50.0);
   std::vector<double> load(8, 10.0);
   std::vector<std::uint8_t> replica(8, 1);
   const std::vector<SiteId> replicas{0, 1, 2, 3, 4, 5, 6, 7};
-  const CandidateSoA soa{site, inv, dod};
-  const PricingState st{theta, avail, load, replica, true};
-  const ReferencePricingState ref{theta, avail, load, replicas, true};
+  const CandidateSoA soa{site, dod};
+  const PricingState st{theta, inv, avail, load, replica, true};
+  const ReferencePricingState ref{theta, inv, avail, load, replicas, true};
   const PricedChoice v = price_candidates(soa, st, 1.0, 0.25, 0.5);
   const PricedChoice r = price_candidates_reference(soa, ref, 1.0, 0.25, 0.5);
   EXPECT_EQ(v.candidate, 0u);
@@ -162,22 +159,23 @@ TEST(PricingKernel, ExactTieBreaksToFirstCandidate) {
 
 TEST(PricingKernel, BudgetExhaustedMasksFreshPlacements) {
   const std::vector<SiteId> site{0, 1};
-  const std::vector<double> inv(2, 0.1);
   const std::vector<double> dod(2, 0.1);
   std::vector<double> theta(2, 0.0);
+  const std::vector<double> inv(2, 0.1);
   std::vector<double> avail(2, 10.0);
   std::vector<double> load(2, 0.0);
   std::vector<std::uint8_t> replica{0, 1};  // only site 1 has a replica
-  const CandidateSoA soa{site, inv, dod};
+  const CandidateSoA soa{site, dod};
   // Budget spent: site 0 (cheaper by μ surcharge absence? no — fresh pays μ)
   // is masked out, site 1 wins despite identical base price.
-  const PricingState st{theta, avail, load, replica, /*budget_left=*/false};
+  const PricingState st{theta, inv, avail, load, replica,
+                        /*budget_left=*/false};
   const PricedChoice v = price_candidates(soa, st, 1.0, 0.25, 0.5);
   EXPECT_EQ(v.site, 1u);
   EXPECT_FALSE(v.needs_replica);
   // No feasible site at all once the replica disappears too.
   replica[1] = 0;
-  const PricingState st2{theta, avail, load, replica, false};
+  const PricingState st2{theta, inv, avail, load, replica, false};
   EXPECT_EQ(price_candidates(soa, st2, 1.0, 0.25, 0.5).candidate,
             PricedChoice::kNoCandidate);
 }
@@ -185,14 +183,14 @@ TEST(PricingKernel, BudgetExhaustedMasksFreshPlacements) {
 TEST(PricingKernel, CapacityBoundaryMatchesPlanFits) {
   // residual == need exactly: feasible under the shared kCapacityEps slack.
   const std::vector<SiteId> site{0};
-  const std::vector<double> inv{0.1};
   const std::vector<double> dod{0.1};
   std::vector<double> theta(1, 0.0);
+  const std::vector<double> inv{0.1};
   std::vector<double> avail(1, 10.0);
   std::vector<double> load(1, 6.0);
   std::vector<std::uint8_t> replica(1, 1);
-  const CandidateSoA soa{site, inv, dod};
-  const PricingState st{theta, avail, load, replica, true};
+  const CandidateSoA soa{site, dod};
+  const PricingState st{theta, inv, avail, load, replica, true};
   EXPECT_EQ(price_candidates(soa, st, 4.0, 0.25, 0.5).site, 0u);
   // Just past the epsilon slack: infeasible.
   EXPECT_EQ(price_candidates(soa, st, 4.0 + 1e-6, 0.25, 0.5).candidate,
