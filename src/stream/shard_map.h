@@ -2,8 +2,9 @@
 //
 // A ShardMap partitions the instance's sites into `shards` contiguous,
 // balanced id ranges; each ShardEngine then prices its queries only against
-// its own partition (plus any boundary sites), so the per-query candidate
-// scan — the admission hot loop's cost — shrinks by roughly the shard count.
+// its own partition (plus any boundary sites), so a demand that scans (one
+// whose deadline reach does not prune its row) tests roughly 1/shards of
+// the sites.
 //
 // Boundary sites are shared by every shard: each shard may admit onto them,
 // and the epoch reconciler arbitrates the resulting contention against the
