@@ -8,9 +8,10 @@
 // BENCH_appro.json: median ns/query of the admission engine for the special
 // (S, one dataset per query) and general (G, multi-dataset) cases at three
 // instance sizes, plus the median CandidateIndex build time and entry count
-// at the perfbench `admission` shape (case "index"), and the median
-// run_stream time at 1 and 8 shards on that instance with capacity scaled
-// to total demand / 1.5 (cases "stream_s1", "stream_s8").
+// at the perfbench `admission` shape (case "index"); on that instance with
+// capacity scaled to total demand / 1.5, the min/median/max appro_g time
+// and its admitted query count (case "appro_g") and the median run_stream
+// time at 1 and 8 shards (cases "stream_s1", "stream_s8").
 //
 // BENCH_substrate.json: the site-rows DelayTable vs the dense all-pairs
 // DelayMatrix on ~degree-8 graphs with 10% placement sites — precompute
@@ -179,6 +180,33 @@ int emit_appro(const std::string& out_path, int reps) {
     for (const Site& s : scarce.sites()) capacity += s.capacity;
     for (const Site& s : scarce.sites()) {
       scarce.set_available(s.id, s.capacity * (demand / 1.5 / capacity));
+    }
+    // Batch Appro-G on that instance, the call perfbench `admission` times
+    // as core.appro_g_s: its index build plus its admission pass.
+    {
+      std::vector<double> run;
+      std::size_t admitted = 0;
+      for (int r = 0; r < reps; ++r) {
+        const auto t0 = clock_type::now();
+        const ApproResult res = appro_g(scarce);
+        run.push_back(
+            std::chrono::duration<double, std::milli>(clock_type::now() - t0)
+                .count());
+        admitted = res.metrics.admitted_queries;
+      }
+      const auto [lo, hi] = std::minmax_element(run.begin(), run.end());
+      const double run_min = *lo;
+      const double run_max = *hi;
+      const double run_ms = median(std::move(run));
+      out << "    {\"case\": \"appro_g\", \"sites\": " << wc.sites
+          << ", \"queries\": " << wc.queries
+          << ", \"run_ms\": " << round2(run_ms)
+          << ", \"run_ms_min\": " << round2(run_min)
+          << ", \"run_ms_max\": " << round2(run_max)
+          << ", \"admitted\": " << admitted << "},\n";
+      std::cerr << "appro_g " << wc.sites << "x" << wc.queries << ": "
+                << run_ms << " ms (min " << run_min << ", max " << run_max
+                << "), admitted " << admitted << "\n";
     }
     const std::vector<Arrival> stream =
         generate_arrival_stream(scarce, /*rate=*/20'000.0, /*seed=*/42);

@@ -50,7 +50,8 @@ INFO_KEYS = frozenset({
     "kernel_speedup", "links", "memory_ratio", "overhead_pct",
     "peak_event_bytes", "peak_flights", "peak_pending_events",
     "rate_changes", "readmitted", "records_per_run",
-    "refill_ns_per_change", "scalar_ns_per_candidate",
+    "refill_ns_per_change", "run_ms_max", "run_ms_min",
+    "scalar_ns_per_candidate",
     "serve_overhead_pct", "shards", "site_rows_entries",
     "sites_scored_per_demand", "speedup", "speedup_vs_1shard",
     "vectorized_ns_per_candidate",
