@@ -31,11 +31,21 @@ ReplicaPlan::ReplicaPlan(const Instance& inst) : inst_(&inst) {
   }
   replicas_.resize(inst.datasets().size());
   users_.resize(inst.datasets().size());
-  demand_sites_.resize(inst.queries().size());
+  demand_begin_.resize(inst.queries().size() + 1);
+  std::size_t slots = 0;
   for (const Query& q : inst.queries()) {
-    demand_sites_[q.id].assign(q.demands.size(), kInvalidSite);
+    demand_begin_[q.id] = slots;
+    slots += q.demands.size();
   }
+  demand_begin_.back() = slots;
+  demand_site_.assign(slots, kInvalidSite);
   load_.assign(inst.sites().size(), 0.0);
+}
+
+std::span<const SiteId> ReplicaPlan::demand_sites(QueryId m) const {
+  // n + 1 offsets: .at(m + 1) throws for every m past the last query.
+  const std::size_t end = demand_begin_.at(std::size_t{m} + 1);
+  return {demand_site_.data() + demand_begin_[m], demand_site_.data() + end};
 }
 
 void ReplicaPlan::place_replica(DatasetId n, SiteId s) {
@@ -97,7 +107,9 @@ void ReplicaPlan::assign(QueryId m, DatasetId n, SiteId s) {
   if (di == static_cast<std::size_t>(-1)) {
     throw std::invalid_argument("assign: query does not demand this dataset");
   }
-  if (demand_sites_.at(m)[di] != kInvalidSite) {
+  // inst_->query(m) checked m, and demand_index found di.
+  SiteId& assigned = demand_site_[demand_begin_[m] + di];
+  if (assigned != kInvalidSite) {
     throw std::runtime_error("assign: demand already assigned");
   }
   const std::size_t slot = replica_slot(replicas_.at(n), s);
@@ -112,7 +124,7 @@ void ReplicaPlan::assign(QueryId m, DatasetId n, SiteId s) {
     undo_log_.push_back({UndoEntry::Op::kAssign, n, s, m,
                          static_cast<std::uint32_t>(di), load_[s]});
   }
-  demand_sites_[m][di] = s;
+  assigned = s;
   load_[s] += need;
   ++users_[n][slot];
 }
@@ -120,17 +132,18 @@ void ReplicaPlan::assign(QueryId m, DatasetId n, SiteId s) {
 void ReplicaPlan::unassign(QueryId m, DatasetId n) {
   const Query& q = inst_->query(m);
   const std::size_t di = demand_index(q, n);
-  if (di == static_cast<std::size_t>(-1) ||
-      demand_sites_.at(m)[di] == kInvalidSite) {
+  const SiteId s = di == static_cast<std::size_t>(-1)
+                       ? kInvalidSite
+                       : demand_site_[demand_begin_[m] + di];
+  if (s == kInvalidSite) {
     throw std::runtime_error("unassign: demand is not assigned");
   }
-  const SiteId s = demand_sites_[m][di];
   if (journaling_) {
     undo_log_.push_back({UndoEntry::Op::kUnassign, n, s, m,
                          static_cast<std::uint32_t>(di), load_[s]});
   }
   load_[s] -= resource_demand(*inst_, q, q.demands[di]);
-  demand_sites_[m][di] = kInvalidSite;
+  demand_site_[demand_begin_[m] + di] = kInvalidSite;
   // An assigned demand's replica cannot be removed, so its slot exists.
   --users_[n][replica_slot(replicas_[n], s)];
 }
@@ -163,12 +176,12 @@ void ReplicaPlan::rollback_to(Savepoint sp) {
         users.insert(users.begin() + e.index, 0);
         break;
       case UndoEntry::Op::kAssign:
-        demand_sites_[e.query][e.index] = kInvalidSite;
+        demand_site_[demand_begin_[e.query] + e.index] = kInvalidSite;
         load_[e.site] = e.prev_load;
         --users[replica_slot(sites, e.site)];
         break;
       case UndoEntry::Op::kUnassign:
-        demand_sites_[e.query][e.index] = e.site;
+        demand_site_[demand_begin_[e.query] + e.index] = e.site;
         load_[e.site] = e.prev_load;
         ++users[replica_slot(sites, e.site)];
         break;
@@ -186,19 +199,19 @@ std::optional<SiteId> ReplicaPlan::assignment(QueryId m, DatasetId n) const {
   const Query& q = inst_->query(m);
   const std::size_t di = demand_index(q, n);
   if (di == static_cast<std::size_t>(-1)) return std::nullopt;
-  const SiteId s = demand_sites_.at(m)[di];
+  const SiteId s = demand_sites(m)[di];
   return s == kInvalidSite ? std::nullopt : std::optional<SiteId>(s);
 }
 
 std::size_t ReplicaPlan::assigned_demands(QueryId m) const {
-  const auto& sites = demand_sites_.at(m);
+  const std::span<const SiteId> sites = demand_sites(m);
   return static_cast<std::size_t>(
       std::count_if(sites.begin(), sites.end(),
                     [](SiteId s) { return s != kInvalidSite; }));
 }
 
 bool ReplicaPlan::admitted(QueryId m) const {
-  const auto& sites = demand_sites_.at(m);
+  const std::span<const SiteId> sites = demand_sites(m);
   return !sites.empty() &&
          std::all_of(sites.begin(), sites.end(),
                      [](SiteId s) { return s != kInvalidSite; });

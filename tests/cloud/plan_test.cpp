@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "helpers/fixtures.h"
@@ -147,6 +149,61 @@ TEST(ReplicaPlan, RemoveMissingReplicaThrows) {
   const Instance inst = TinyFixture::make();
   ReplicaPlan plan(inst);
   EXPECT_THROW(plan.remove_replica(0, 0), std::runtime_error);
+}
+
+TEST(ReplicaPlan, QueryPastTheLastThrows) {
+  // The assignments of every query sit in one array with n + 1 offsets;
+  // query n has an offset entry but no slots, and must not read as a query.
+  const Instance inst = TinyFixture::make();
+  ReplicaPlan plan(inst);
+  const auto n = static_cast<QueryId>(inst.queries().size());
+  EXPECT_THROW((void)plan.assigned_demands(n), std::out_of_range);
+  EXPECT_THROW((void)plan.admitted(n), std::out_of_range);
+  EXPECT_THROW((void)plan.assignment(n, 0), std::out_of_range);
+  EXPECT_THROW(plan.assign(n, 0, 0), std::out_of_range);
+  EXPECT_THROW(plan.unassign(n, 0), std::out_of_range);
+  const QueryId last = std::numeric_limits<QueryId>::max();
+  EXPECT_THROW((void)plan.assigned_demands(last), std::out_of_range);
+  EXPECT_THROW((void)plan.admitted(last), std::out_of_range);
+}
+
+TEST(ReplicaPlan, NeighbouringQueriesKeepTheirOwnSlots) {
+  // Three queries of 2, 1 and 3 demands share the flat slot array: an
+  // assignment, an unassign and a rollback touch only their own query.
+  Graph g;
+  const NodeId v = g.add_node(NodeRole::kCloudlet);
+  Instance inst(std::move(g));
+  const SiteId s = inst.add_site(v, 100.0, 0.01);
+  for (int i = 0; i < 3; ++i) inst.add_dataset(1.0, s);
+  inst.add_query(s, 1.0, 100.0, {{0, 0.5}, {1, 0.5}});
+  inst.add_query(s, 1.0, 100.0, {{2, 0.5}});
+  inst.add_query(s, 1.0, 100.0, {{0, 0.5}, {1, 0.5}, {2, 0.5}});
+  inst.finalize();
+  ReplicaPlan plan(inst);
+  for (DatasetId d = 0; d < 3; ++d) plan.place_replica(d, s);
+  plan.assign(1, 2, s);
+  EXPECT_EQ(plan.assigned_demands(0), 0u);
+  EXPECT_TRUE(plan.admitted(1));
+  EXPECT_EQ(plan.assigned_demands(2), 0u);
+  EXPECT_FALSE(plan.assignment(2, 2).has_value());
+
+  const ReplicaPlan::Savepoint sp = plan.savepoint();
+  plan.assign(2, 0, s);
+  plan.assign(2, 2, s);
+  plan.assign(0, 1, s);
+  EXPECT_EQ(plan.assigned_demands(2), 2u);
+  EXPECT_EQ(plan.assigned_demands(0), 1u);
+  plan.rollback_to(sp);
+  plan.commit();
+  EXPECT_EQ(plan.assigned_demands(0), 0u);
+  EXPECT_EQ(plan.assigned_demands(1), 1u);
+  EXPECT_EQ(plan.assigned_demands(2), 0u);
+
+  plan.assign(2, 1, s);
+  plan.unassign(1, 2);
+  EXPECT_FALSE(plan.admitted(1));
+  EXPECT_EQ(plan.assignment(2, 1), std::optional<SiteId>(s));
+  EXPECT_EQ(plan.assigned_demands(2), 1u);
 }
 
 TEST(Evaluate, CountsAdmittedVolumeAndThroughput) {
