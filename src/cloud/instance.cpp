@@ -32,7 +32,7 @@ void Instance::set_available(SiteId s, double available) {
 
 DatasetId Instance::add_dataset(double volume, SiteId origin,
                                 std::string name) {
-  if (volume <= 0.0) {
+  if (!(volume > 0.0)) {  // NaN fails too: it would break every ordering
     throw std::invalid_argument("add_dataset: volume must be positive");
   }
   const auto id = static_cast<DatasetId>(datasets_.size());
@@ -43,8 +43,9 @@ DatasetId Instance::add_dataset(double volume, SiteId origin,
 
 QueryId Instance::add_query(SiteId home, double rate, double deadline,
                             std::vector<DatasetDemand> demands) {
-  if (rate <= 0.0) throw std::invalid_argument("add_query: rate must be > 0");
-  if (deadline <= 0.0) {
+  // Written so that NaN fails too; +inf stays legal.
+  if (!(rate > 0.0)) throw std::invalid_argument("add_query: rate must be > 0");
+  if (!(deadline > 0.0)) {
     throw std::invalid_argument("add_query: deadline must be > 0");
   }
   if (demands.empty()) {

@@ -1,7 +1,10 @@
 #include "core/admission.h"
 
 #include <algorithm>
-#include <functional>
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <numeric>
 #include <span>
 #include <utility>
 
@@ -9,38 +12,57 @@
 
 namespace edgerep {
 
+namespace {
+
+/// Rank `queries` stably by ascending key(m): an LSD radix sort over the
+/// key's bytes that skips a byte every key shares.  Equal keys keep their
+/// order.
+template <class Key>
+void radix_rank(std::vector<QueryId>& queries, Key&& key) {
+  constexpr std::size_t kDigits = sizeof(std::uint64_t);
+  const std::size_t n = queries.size();
+  std::vector<std::pair<std::uint64_t, QueryId>> keyed(n);
+  std::vector<std::pair<std::uint64_t, QueryId>> out(n);
+  std::array<std::array<std::size_t, 256>, kDigits> count{};
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t k = key(queries[i]);
+    keyed[i] = {k, queries[i]};
+    for (std::size_t d = 0; d < kDigits; ++d) ++count[d][(k >> (8 * d)) & 0xff];
+  }
+  for (std::size_t d = 0; d < kDigits; ++d) {
+    std::array<std::size_t, 256>& at = count[d];
+    if (std::find(at.begin(), at.end(), n) != at.end()) continue;
+    std::exclusive_scan(at.begin(), at.end(), at.begin(), std::size_t{0});
+    for (const auto& e : keyed) out[at[(e.first >> (8 * d)) & 0xff]++] = e;
+    keyed.swap(out);
+  }
+  for (std::size_t i = 0; i < n; ++i) queries[i] = keyed[i].second;
+}
+
+/// Non-negative doubles (NaN excluded) order as their bit patterns.
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+}  // namespace
+
 void order_queries(const Instance& inst, const ApproOptions& opts,
                    std::vector<QueryId>& queries) {
   std::sort(queries.begin(), queries.end());
-  // Sums each query's demanded volume once, before the sort.
-  const auto by_volume = [&](auto before) {
-    std::vector<std::pair<double, QueryId>> keyed;
-    keyed.reserve(queries.size());
-    for (const QueryId m : queries) {
-      keyed.emplace_back(inst.demanded_volume(m), m);
-    }
-    std::stable_sort(keyed.begin(), keyed.end(),
-                     [&](const auto& a, const auto& b) {
-                       return before(a.first, b.first);
-                     });
-    for (std::size_t i = 0; i < keyed.size(); ++i) {
-      queries[i] = keyed[i].second;
-    }
-  };
+  // Volumes and deadlines are positive or +inf (Instance rejects the rest),
+  // so every key below orders as the value it encodes.
   switch (opts.order) {
     case ApproOptions::Order::kInput:
       break;
     case ApproOptions::Order::kVolumeDesc:
-      by_volume(std::greater<>());
+      radix_rank(queries,
+                 [&](QueryId m) { return ~bits(inst.demanded_volume(m)); });
       break;
     case ApproOptions::Order::kVolumeAsc:
-      by_volume(std::less<>());
+      radix_rank(queries,
+                 [&](QueryId m) { return bits(inst.demanded_volume(m)); });
       break;
     case ApproOptions::Order::kDeadlineAsc:
-      std::stable_sort(queries.begin(), queries.end(),
-                       [&](QueryId a, QueryId b) {
-                         return inst.query(a).deadline < inst.query(b).deadline;
-                       });
+      radix_rank(queries,
+                 [&](QueryId m) { return bits(inst.query(m).deadline); });
       break;
     case ApproOptions::Order::kRandom: {
       Rng rng(opts.seed);

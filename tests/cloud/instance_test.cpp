@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "helpers/fixtures.h"
@@ -83,6 +85,8 @@ TEST(Instance, RejectsBadDataset) {
   inst.add_site(0, 1.0, 0.1);
   EXPECT_THROW(inst.add_dataset(0.0, 0), std::invalid_argument);
   EXPECT_THROW(inst.add_dataset(-2.0, 0), std::invalid_argument);
+  EXPECT_THROW(inst.add_dataset(std::nan(""), 0), std::invalid_argument);
+  EXPECT_EQ(inst.add_dataset(std::numeric_limits<double>::infinity(), 0), 0u);
 }
 
 TEST(Instance, RejectsBadQuery) {
@@ -94,6 +98,13 @@ TEST(Instance, RejectsBadQuery) {
   EXPECT_THROW(inst.add_query(s, 0.0, 1.0, {{d, 0.5}}), std::invalid_argument);
   EXPECT_THROW(inst.add_query(s, 1.0, 0.0, {{d, 0.5}}), std::invalid_argument);
   EXPECT_THROW(inst.add_query(s, 1.0, 1.0, {}), std::invalid_argument);
+  // NaN would leave the query orders without a strict weak ordering.
+  const double nan = std::nan("");
+  EXPECT_THROW(inst.add_query(s, nan, 1.0, {{d, 0.5}}), std::invalid_argument);
+  EXPECT_THROW(inst.add_query(s, 1.0, nan, {{d, 0.5}}), std::invalid_argument);
+  EXPECT_EQ(inst.queries().size(), 0u);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(inst.add_query(s, inf, inf, {{d, 0.5}}), 0u);
 }
 
 TEST(Instance, FinalizeCatchesDanglingReferences) {

@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <limits>
+#include <numeric>
 #include <stdexcept>
+#include <vector>
 
+#include "core/admission.h"
 #include "core/candidate_index.h"
 #include "core/repair.h"
 #include "helpers/fixtures.h"
+#include "util/rng.h"
 
 namespace edgerep {
 namespace {
@@ -179,6 +186,80 @@ TEST(ApproG, AbundantResourcesAdmitEveryFeasibleDemand) {
           << "query " << q.id << " dataset " << dd.dataset;
     }
   }
+}
+
+/// Random keys with many ties and some +inf: volumes and deadlines drawn
+/// from a few values, on `queries` queries of 1-3 demands.
+Instance tied_keys_instance(std::uint64_t seed, std::size_t queries) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(seed);
+  Graph g;
+  g.add_node();
+  Instance inst(std::move(g));
+  const SiteId s = inst.add_site(0, 10.0, 0.1);
+  const double volumes[] = {1.0, 2.0, 2.0, 3.5, 1e-300, 1e300, kInf};
+  for (const double v : volumes) inst.add_dataset(v, s);
+  const double deadlines[] = {0.5, 1.0, 1.0, 7.25, 1e-300, kInf};
+  for (std::size_t m = 0; m < queries; ++m) {
+    std::vector<DatasetDemand> demands;
+    const std::size_t f = rng.uniform_u64(1, 3);
+    const auto first = static_cast<DatasetId>(rng.uniform_u64(0, 6));
+    for (std::size_t k = 0; k < f; ++k) {
+      demands.push_back({static_cast<DatasetId>((first + k) % 7), 0.5});
+    }
+    inst.add_query(s, 1.0, deadlines[rng.uniform_u64(0, 5)],
+                   std::move(demands));
+  }
+  inst.finalize();
+  return inst;
+}
+
+TEST(OrderQueries, RanksLikeStableSortWithTiesAndInfinity) {
+  using Order = ApproOptions::Order;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Instance inst = tied_keys_instance(seed, seed * 97);
+    const auto volume = [&](QueryId m) { return inst.demanded_volume(m); };
+    const auto deadline = [&](QueryId m) { return inst.query(m).deadline; };
+    // Every query, and a shuffled subset as repair passes its displaced
+    // queries: both are ranked from id order.
+    std::vector<QueryId> all(inst.queries().size());
+    std::iota(all.begin(), all.end(), QueryId{0});
+    std::vector<QueryId> subset;
+    Rng rng(seed + 100);
+    for (const QueryId m : all) {
+      if (rng.bernoulli(0.4)) subset.push_back(m);
+    }
+    rng.shuffle(std::span<QueryId>(subset));
+    for (const std::vector<QueryId>& input : {all, subset}) {
+      std::vector<QueryId> sorted = input;
+      std::sort(sorted.begin(), sorted.end());
+      const auto expect = [&](Order order, auto key, auto before) {
+        std::vector<QueryId> want = sorted;
+        std::stable_sort(want.begin(), want.end(), [&](QueryId a, QueryId b) {
+          return before(key(a), key(b));
+        });
+        ApproOptions opts;
+        opts.order = order;
+        std::vector<QueryId> got = input;
+        order_queries(inst, opts, got);
+        EXPECT_EQ(got, want) << "order " << static_cast<int>(order);
+      };
+      expect(Order::kVolumeDesc, volume, std::greater<>());
+      expect(Order::kVolumeAsc, volume, std::less<>());
+      expect(Order::kDeadlineAsc, deadline, std::less<>());
+      ApproOptions as_given;
+      as_given.order = Order::kInput;
+      std::vector<QueryId> got = input;
+      order_queries(inst, as_given, got);
+      EXPECT_EQ(got, sorted);
+    }
+  }
+  // Nothing to rank.
+  const Instance inst = tied_keys_instance(1, 5);
+  std::vector<QueryId> none;
+  order_queries(inst, {}, none);
+  EXPECT_TRUE(none.empty());
 }
 
 }  // namespace
