@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -12,10 +13,18 @@
 #include "obs/audit.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/prefetch.h"
 
 namespace edgerep {
 
 namespace {
+
+/// Lookahead distances of the admission loop, in queries: the query record
+/// and slot offsets, then what they point to (the demand list, row bounds,
+/// needs, assignment slots, y and μ), then the rows themselves.
+constexpr std::size_t kFarAhead = 16;
+constexpr std::size_t kNearAhead = 8;
+constexpr std::size_t kRowsAhead = 4;
 
 /// One Appro-S admission step for a single (query, demand): pick the
 /// cheapest feasible site, placing a replica when needed.  Returns true and
@@ -158,11 +167,32 @@ ApproResult run_appro(const Instance& inst, const ApproOptions& opts) {
   mask.resize(inst.sites().size());
   {
     EDGEREP_TRACE_SCOPE("appro.admission");
-    std::vector<QueryId> order(inst.queries().size());
+    const std::span<const Query> queries = inst.queries();
+    std::vector<QueryId> order(queries.size());
     std::iota(order.begin(), order.end(), QueryId{0});
     order_queries(inst, opts, order);
-    for (const QueryId m : order) {
-      const Query& q = inst.query(m);
+    // The order is unrelated to the memory layout, so each step's reads
+    // would miss one after another.  Ask for them ahead, in stages whose
+    // reads hit the lines the earlier stage fetched.
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      if (i + kFarAhead < order.size()) {
+        const QueryId m = order[i + kFarAhead];
+        prefetch_object(queries[m]);
+        index.prefetch_offset(m);
+        res.plan.prefetch_offset(m);
+      }
+      if (i + kNearAhead < order.size()) {
+        const QueryId m = order[i + kNearAhead];
+        const std::vector<DatasetDemand>& demands = queries[m].demands;
+        prefetch_lines(demands.data(), demands.size(), 2);
+        index.prefetch_slots(m);
+        res.plan.prefetch_assignments(m);
+        res.duals.prefetch(m);
+      }
+      if (i + kRowsAhead < order.size()) {
+        index.prefetch_rows(order[i + kRowsAhead]);
+      }
+      const Query& q = queries[order[i]];
       const std::size_t placed = admit_query(
           q, res.plan, &res.duals, opts.atomic_queries, audit,
           [&](std::size_t di, obs::AuditEntry* e) {

@@ -9,11 +9,16 @@
 #include "obs/causal_sink.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/prefetch.h"
 #include "util/thread_pool.h"
 
 namespace edgerep {
 
 namespace {
+
+/// Phase 1's lookahead over a shard's batch, in queries: the record, slot
+/// offset and duals of the query this far ahead.
+constexpr std::size_t kPhase1Ahead = 8;
 
 /// Phase-2 replay of one shard intent against the live plan; returns the
 /// conflict site, or kInvalidSite once the intent is committed.  Capacity
@@ -107,6 +112,7 @@ StreamResult run_stream(const Instance& inst, std::span<const Arrival> stream,
   const std::size_t shards =
       std::max<std::size_t>(1, std::min(opts.shards, inst.sites().size()));
 
+  const std::span<const Query> queries = inst.queries();
   const ShardMap map(inst, shards, opts.boundary);
   // One row source for every shard, filled before phase 1 and read-only
   // from then on.
@@ -189,9 +195,25 @@ StreamResult run_stream(const Instance& inst, std::span<const Arrival> stream,
         auto& infeasible = shard_infeasible[sh];
         intents.clear();
         infeasible.clear();
-        for (const QueryId m : shard_batch[sh]) {
+        const std::vector<QueryId>& batch = shard_batch[sh];
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+          // Ask for a later query's record, slot offset and duals, and for
+          // the next query's walk lengths and the head of its home's list.
+          if (i + kPhase1Ahead < batch.size()) {
+            const QueryId m_far = batch[i + kPhase1Ahead];
+            prefetch_object(queries[m_far]);
+            rows.prefetch_offset(m_far);
+            eng.duals().prefetch(m_far);
+          }
+          if (i + 1 < batch.size()) {
+            const Query& next = queries[batch[i + 1]];
+            prefetch_lines(next.demands.data(), next.demands.size(), 2);
+            rows.prefetch_walks(next.id);
+            rows.prefetch_list(next.home);
+          }
+          const QueryId m = batch[i];
           AdmissionIntent intent;
-          if (eng.admit(inst.query(m), intent)) {
+          if (eng.admit(queries[m], intent)) {
             intents.push_back(std::move(intent));
           } else {
             infeasible.push_back(m);
