@@ -408,6 +408,24 @@ TEST(CandidateIndexTest, ParallelBuildMatchesSerialBuild) {
   }
 }
 
+// The build sweeps each home's queries with a lookahead of up to 8
+// queries.  Every query here shares one home, so the sweep is shorter
+// than the lookahead, as long as it, or just past it; the other homes
+// hold none.  Rows walk (short rows) or scan (loose rows).
+TEST(CandidateIndexTest, HomesShorterThanTheLookahead) {
+  for (std::size_t queries = 1; queries <= 17; ++queries) {
+    SCOPED_TRACE(std::to_string(queries) + " queries");
+    for (IndexCase c : {short_rows(queries), loose_rows(queries)}) {
+      c.queries = queries;
+      c.homes = 1;
+      const Instance inst = index_instance(queries, c);
+      expect_identical_arrays(inst, CandidateIndex(inst, true),
+                              CandidateIndex(inst, false));
+      expect_matches_naive_scan(inst, CandidateIndex(inst));
+    }
+  }
+}
+
 // --- savepoint transaction against the frozen copy-oracle output -------
 
 /// One run's fingerprint: plan_fp with the dual objective, the demand

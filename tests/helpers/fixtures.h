@@ -72,11 +72,12 @@ inline Instance medium_instance(std::uint64_t seed, std::size_t f_max = 4) {
 /// The perfbench `admission` shape at 5k queries: 1000 sites, deadlines
 /// that leave each demand a few percent of the sites, K = 32 on a Zipf(1)
 /// population of 256 datasets, and available capacity scaled to total
-/// demand / 1.5, so capacity and K both bind.
-inline Instance tight_deadline_instance() {
+/// demand / 1.5, so capacity and K both bind.  Other sizes keep the rest.
+inline Instance tight_deadline_instance(std::size_t queries = 5'000,
+                                        std::size_t sites = 1000) {
   StreamWorkloadConfig wc;
-  wc.sites = 1000;
-  wc.queries = 5'000;
+  wc.sites = sites;
+  wc.queries = queries;
   wc.datasets = 256;
   wc.max_demands = 3;
   wc.max_replicas = 32;

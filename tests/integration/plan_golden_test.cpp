@@ -227,6 +227,29 @@ TEST_F(PlanGolden, ApproThenRepairAtTightDeadlines) {
           std::to_string(st.replicas_placed));
 }
 
+// Appro-G in the tight-deadline shape at 1 to 33 queries, under every
+// order.  The admission loop looks up to 16 queries ahead, so these loops
+// are shorter than, as long as and just past each lookahead distance.
+// Pinned from the engine before it had any lookahead.
+TEST_F(PlanGolden, ApproAtLookaheadBoundaries) {
+  std::vector<std::string> fps;
+  std::size_t rejected = 0;
+  for (std::size_t queries = 1; queries <= 33; ++queries) {
+    const Instance inst = testing::tight_deadline_instance(queries, 200);
+    for (const Order order : kOrders) {
+      ApproOptions opts;
+      opts.order = order;
+      const ApproResult r = appro_g(inst, opts);
+      rejected += r.demands_rejected;
+      fps.push_back(testing::plan_fp(r.plan, r.dual_objective) +
+                    demands(r.demands_assigned, r.demands_rejected));
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+  testing::expect_golden("plans/appro_g/lookahead_boundaries",
+                         testing::runs_fp(fps));
+}
+
 std::string stream_fp(const StreamResult& r) {
   return testing::plan_fp(r.plan) +
          " stream=" + std::to_string(r.queries_admitted) + ":" +

@@ -62,6 +62,36 @@ TEST(StreamEngine, OneShardReproducesBatchPlanExactly) {
   expect_batch_plan(tight, 7);
 }
 
+// Phase 1 looks up to 8 queries ahead in a shard's batch.  With one
+// epoch holding every arrival, the batch is shorter than, as long as and
+// just past that distance, and one shard still reproduces batch Appro-G;
+// at eight shards most batches are shorter than it, and the plan stays
+// admissible and independent of the thread count.
+TEST(StreamEngine, BatchesAroundTheLookaheadDistance) {
+  for (std::size_t queries = 1; queries <= 17; ++queries) {
+    SCOPED_TRACE(std::to_string(queries) + " queries");
+    const Instance inst = testing::tight_deadline_instance(queries, 200);
+    ApproOptions batch_opts;
+    batch_opts.order = ApproOptions::Order::kInput;
+    const ApproResult batch = appro_g(inst, batch_opts);
+    const std::vector<Arrival> arrivals = id_stream(inst, queries);
+    StreamOptions one;
+    one.shards = 1;
+    one.epoch_length = 1e9;  // every arrival in the first epoch
+    const StreamResult stream = run_stream(inst, arrivals, one);
+    EXPECT_EQ(stream.epochs, 1u);
+    EXPECT_EQ(testing::plan_fp(stream.plan), testing::plan_fp(batch.plan));
+
+    StreamOptions eight = one;
+    eight.shards = 8;
+    const StreamResult parallel = run_stream(inst, arrivals, eight);
+    eight.parallel = false;
+    const StreamResult serial = run_stream(inst, arrivals, eight);
+    EXPECT_TRUE(validate(parallel.plan).ok);
+    EXPECT_EQ(testing::plan_fp(parallel.plan), testing::plan_fp(serial.plan));
+  }
+}
+
 TEST(StreamEngine, OneShardMatchesBatchVolumeOnMediumInstances) {
   for (const std::uint64_t seed : {5ULL, 41ULL}) {
     const Instance inst = medium_instance(seed);
