@@ -76,29 +76,6 @@ RowSource::RowSource(const Instance& inst, bool parallel) : inst_(&inst) {
   }
   query_offset_[queries.size()] = slots;
 
-  const bool fan_out = parallel && queries.size() * n_sites > 4096;
-  const auto blocks = [&](std::size_t n, const auto& body) {
-    if (fan_out) {
-      global_pool().parallel_for_blocked(n, body);
-    } else {
-      body(std::size_t{0}, n);
-    }
-  };
-
-  // Every demand's reach, visited in id order.
-  std::vector<double> reach(slots);
-  blocks(queries.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t m = begin; m < end; ++m) {
-      const Query& q = queries[m];
-      std::size_t slot = query_offset_[m];
-      for (const DatasetDemand& dd : q.demands) {
-        const double vol = inst.dataset(dd.dataset).volume;
-        reach[slot++] =
-            reach_of(vol * d_min, dd.selectivity * vol, q.deadline);
-      }
-    }
-  });
-
   // Queries sharing a home share the delays to it.  A counting sort
   // buckets them by home, ids ascending within a home.
   home_begin_.assign(n_sites + 1, 0);
@@ -109,12 +86,13 @@ RowSource::RowSource(const Instance& inst, bool parallel) : inst_(&inst) {
   by_home_.resize(queries.size());
   for (const Query& q : queries) by_home_[next[q.home]++] = q.id;
 
-  // Each home's walk lengths and list are a pure function of the home, so
-  // any split of the homes into blocks builds the same source.
+  // Each home's reaches, walk lengths and list are a pure function of the
+  // home, so any split of the homes into blocks builds the same source.
   walk_.resize(slots);
   near_.resize(n_sites);
-  blocks(n_sites, [&](std::size_t begin, std::size_t end) {
+  const auto home_block = [&](std::size_t begin, std::size_t end) {
     std::vector<std::size_t> slot;           // the home's demand slots
+    std::vector<double> reach;               // per slot of the home
     std::vector<double> column(n_sites);     // path delays to the home
     std::vector<SiteId> covered(n_sites);    // sites inside the widest reach
     std::vector<std::size_t> band(n_sites);  // per covered site
@@ -122,11 +100,18 @@ RowSource::RowSource(const Instance& inst, bool parallel) : inst_(&inst) {
     std::vector<std::size_t> reaching;       // per band: demands reaching it
     for (std::size_t h = begin; h < end; ++h) {
       slot.clear();
+      reach.clear();
       double widest = -1.0;  // the widest finite reach
       for (const QueryId m : homed(static_cast<SiteId>(h))) {
-        for (std::size_t d = query_offset_[m]; d < query_offset_[m + 1]; ++d) {
-          slot.push_back(d);
-          if (reach[d] < kInfDelay) widest = std::max(widest, reach[d]);
+        const Query& q = queries[m];
+        std::size_t d = query_offset_[m];
+        for (const DatasetDemand& dd : q.demands) {
+          const double vol = inst.dataset(dd.dataset).volume;
+          const double r =
+              reach_of(vol * d_min, dd.selectivity * vol, q.deadline);
+          slot.push_back(d++);
+          reach.push_back(r);
+          if (r < kInfDelay) widest = std::max(widest, r);
         }
       }
       if (slot.empty()) continue;
@@ -162,9 +147,9 @@ RowSource::RowSource(const Instance& inst, bool parallel) : inst_(&inst) {
       // every site (a scan); the others may walk.
       reaching.assign(bands, 0);
       std::size_t pruned = 0;
-      for (const std::size_t d : slot) {
-        if (reach[d] >= 0.0 && reach[d] < kInfDelay) {
-          ++reaching[band_of(reach[d])];
+      for (const double r : reach) {
+        if (r >= 0.0 && r < kInfDelay) {
+          ++reaching[band_of(r)];
           ++pruned;
         }
       }
@@ -185,13 +170,14 @@ RowSource::RowSource(const Instance& inst, bool parallel) : inst_(&inst) {
           top = b + 1;
         }
       }
-      for (const std::size_t d : slot) {
-        if (reach[d] < 0.0) {
-          walk_[d] = 0;
-        } else if (reach[d] < kInfDelay && band_of(reach[d]) < top) {
-          walk_[d] = static_cast<std::uint32_t>(band_end[band_of(reach[d])]);
+      for (std::size_t i = 0; i < slot.size(); ++i) {
+        const double r = reach[i];
+        if (r < 0.0) {
+          walk_[slot[i]] = 0;
+        } else if (r < kInfDelay && band_of(r) < top) {
+          walk_[slot[i]] = static_cast<std::uint32_t>(band_end[band_of(r)]);
         } else {
-          walk_[d] = kScan;
+          walk_[slot[i]] = kScan;
         }
       }
       // Lay the list out band by band, ids ascending within a band.
@@ -205,7 +191,12 @@ RowSource::RowSource(const Instance& inst, bool parallel) : inst_(&inst) {
         }
       }
     }
-  });
+  };
+  if (parallel && queries.size() * n_sites > 4096) {
+    global_pool().parallel_for_blocked(n_sites, home_block);
+  } else {
+    home_block(0, n_sites);
+  }
 }
 
 }  // namespace edgerep
