@@ -12,6 +12,10 @@
 // scan-set site.  Where the reach prunes, a query's work is its walk at any
 // shard count; where it does not (loose deadlines), it is O(|scan set|),
 // and only there do S shards cut the admission cost by ~S on one core.
+// run_stream feeds a shard its batch with a lookahead: a few queries ahead
+// it asks for the query record, the source's slot offset and the shard's
+// duals, and one ahead for the walk lengths and the head of the home's
+// list (RowSource's prefetch hints), so admit() mostly finds them cached.
 //
 // Epoch protocol (determinism contract):
 //  * begin_epoch(plan) freezes the global state for this shard — it copies
