@@ -6,6 +6,7 @@
 // bit-exactly from the kAlert records alone.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -395,6 +396,63 @@ TEST_F(WatchdogTest, WriteJsonCarriesTheAlertCounts) {
   EXPECT_NE(json.find("\"resolve\":null"), std::string::npos);
 }
 
+TEST_F(WatchdogTest, HotspotsResolveInDatasetOrderBesideOpenSiteAlerts) {
+  obs::WatchdogConfig cfg;
+  cfg.hotspot_warmup = 1;  // shares count from the first demand
+  cfg.site_ewma_alpha = 1.0;
+  cfg.site_warmup = 2;
+  cfg.site_ph_delta = 0.0;
+  cfg.site_ph_lambda = 0.1;
+  obs::Watchdog& wd = obs::watchdog();
+  wd.set_config(cfg);
+  wd.begin_run();
+
+  // Three site alerts open first (seq 0-2) and stay open.
+  for (const std::uint32_t site : {1u, 4u, 7u}) {
+    wd.on_site_util(0.0, site, 0.2);
+    wd.on_site_util(0.0, site, 0.9);
+  }
+  // Hotspots open out of dataset order: 9 at 1/1, 2 at 2/5, 5 at 4/10
+  // (seq 3, 4, 5).  Datasets 9 and 2 hold 3 demands each, so both drop
+  // below 0.22 on the 14th demand (3/14), while 5 sits at 8/14.
+  double t = 1.0;
+  const auto feed = [&](std::uint32_t dataset, int n) {
+    for (int i = 0; i < n; ++i) wd.on_demand(t++, dataset);
+  };
+  feed(9, 3);
+  feed(2, 3);
+  feed(5, 7);
+  ASSERT_EQ(wd.stats().open_at_end, 6u);
+  wd.clear_transitions();
+  feed(5, 1);
+
+  // Both resolutions come from the one feed, in ascending dataset order.
+  const std::vector<obs::JournalRecord>& tr = wd.transitions();
+  ASSERT_EQ(tr.size(), 2u);
+  EXPECT_EQ(tr[0].a, 2u);
+  EXPECT_EQ(tr[0].b, 4u);
+  EXPECT_EQ(tr[1].a, 9u);
+  EXPECT_EQ(tr[1].b, 3u);
+  for (const obs::JournalRecord& r : tr) {
+    EXPECT_EQ(r.arg,
+              static_cast<std::uint8_t>(obs::AlertKind::kDatasetHotspot));
+    EXPECT_EQ(r.flags & 1u, 1u);  // resolve
+    EXPECT_EQ(r.time, 14.0);
+    EXPECT_EQ(r.v0, 3.0 / 14.0);
+  }
+
+  const obs::WatchdogStats s = wd.stats();
+  EXPECT_EQ(s.opened, 6u);
+  EXPECT_EQ(s.resolved, 2u);
+  EXPECT_EQ(s.open_at_end, 4u);
+  std::ostringstream os;
+  wd.write_json(os);
+  const std::string json = os.str();
+  EXPECT_NE(json.find("\"opened\":6,\"resolved\":2,\"open\":4"),
+            std::string::npos)
+      << json;
+}
+
 TEST_F(WatchdogTest, EnumNamesAreStable) {
   EXPECT_STREQ(obs::to_string(obs::AlertKind::kDatasetHotspot),
                "dataset_hotspot");
@@ -590,6 +648,78 @@ TEST_F(WatchdogTest, StreamAlertsAreIdenticalAcrossThreadCounts) {
       << "drifting-Zipf stream fired no hotspot alerts";
   expect_same_alerts(alerts[0], alerts[1]);
   EXPECT_EQ(journal[0], journal[1]);
+}
+
+// A faulted drifting-Zipf run at the default thresholds: its site
+// detectors hold dozens of alerts open at once, and dataset hotspots open
+// and resolve among them.
+TEST_F(WatchdogTest, ManyOpenAlertsStreamIsPinned) {
+  StreamWorkloadConfig wc;
+  wc.sites = 256;
+  wc.queries = 20000;
+  wc.datasets = 16;
+  wc.max_demands = 3;
+  wc.max_replicas = 32;
+  wc.volume = {3.0, 4.0};
+  wc.zipf_exponent = 2.0;
+  wc.zipf_drift_period = 2000;
+  Instance inst = stream_instance(wc, 0x3a1e);
+  for (const Site& s : inst.sites()) {
+    inst.set_available(s.id, 0.02 * s.capacity);
+  }
+  OnlineConfig cfg;
+  cfg.seed = 0x3a1e;
+  cfg.arrival_rate = 5000.0;  // 4 s of arrivals
+  cfg.wave_amplitude = 0.5;
+  cfg.wave_period = 4.0 / 3.0;
+  cfg.repair_on_failure = true;
+  FaultScenarioConfig fc;
+  fc.horizon = 3.2;
+  fc.site_crashes = 4;
+  fc.capacity_losses = 4;
+  fc.mean_repair_time = 0.4;
+  fc.cloudlets_only = false;
+  cfg.faults = generate_fault_trace(inst, fc, 0x3a1e);
+
+  obs::set_watchdog_enabled(true);
+  obs::set_recorder_enabled(true);
+  obs::recorder().configure(obs::RecorderMode::kFull);
+  const OnlineResult res = run_online(inst, cfg);
+  std::ostringstream os;
+  obs::recorder().write(os);
+  const std::vector<obs::JournalRecord> records = obs::recorder().snapshot();
+  obs::set_recorder_enabled(false);
+  obs::set_watchdog_enabled(false);
+
+  // The regime the pin is for, read from the journal's kAlert records.
+  std::size_t open = 0;
+  std::size_t max_open = 0;
+  std::size_t sites_open = 0;
+  std::size_t hotspot_opens = 0;
+  std::size_t hotspot_resolves = 0;
+  for (const obs::JournalRecord& r : records) {
+    if (r.kind != static_cast<std::uint8_t>(obs::RecordKind::kAlert)) continue;
+    const bool resolve = (r.flags & 1u) != 0;
+    open = resolve ? open - 1 : open + 1;
+    max_open = std::max(max_open, open);
+    const auto kind = static_cast<obs::AlertKind>(r.arg);
+    if (kind == obs::AlertKind::kSiteOverload) {
+      sites_open = resolve ? sites_open - 1 : sites_open + 1;
+    } else if (kind == obs::AlertKind::kDatasetHotspot && sites_open > 0) {
+      ++(resolve ? hotspot_resolves : hotspot_opens);
+    }
+  }
+  std::size_t kinds = 0;
+  for (const std::size_t n : res.watchdog.opened_by_kind) kinds += n > 0;
+  EXPECT_GE(max_open, 50u);
+  EXPECT_GE(res.watchdog.opened, 200u);
+  EXPECT_GE(kinds, 3u);
+  EXPECT_GT(hotspot_opens, 0u);
+  EXPECT_GT(hotspot_resolves, 0u);
+  testing::expect_golden(
+      "watchdog/many_open_alerts",
+      "journal=" + testing::hex64(testing::fnv1a(os.str())) + " " +
+          testing::watchdog_fp(res.watchdog));
 }
 
 TEST_F(WatchdogTest, DisabledRunLeavesTheRollupZero) {
