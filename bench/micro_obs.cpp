@@ -154,12 +154,27 @@ void BM_WatchdogFeedDisabled(benchmark::State& state) {
 }
 BENCHMARK(BM_WatchdogFeedDisabled);
 
-/// Enabled sketch feed: one space-saving top-k pass per demand.  The keys
-/// rotate over 16 datasets so no share ever crosses the hotspot threshold
-/// and the alert list stays empty in steady state.
+/// Enabled sketch feed: one space-saving top-k pass per demand, beside
+/// range(0) open site_overload alerts, as a loaded run holds while its
+/// demands stream in.  The keys rotate over 16 datasets so no share ever
+/// crosses the hotspot threshold.
 void BM_WatchdogOnDemand(benchmark::State& state) {
+  const auto open_sites = static_cast<std::uint32_t>(state.range(0));
   obs::Watchdog wd;
   wd.begin_run();
+  // Idle samples past the warmup, then full load until the site's
+  // Page–Hinkley detector opens its alert (the 4th sample at the default
+  // thresholds).
+  for (std::uint32_t site = 0; site < open_sites; ++site) {
+    for (int i = 0; i < 8; ++i) wd.on_site_util(0.0, site, 0.0);
+    for (int i = 0; i < 8 && wd.stats().open_at_end == site; ++i) {
+      wd.on_site_util(0.0, site, 1.0);
+    }
+  }
+  if (wd.stats().open_at_end != open_sites) {
+    state.SkipWithError("site alerts did not open");
+    return;
+  }
   double t = 0.0;
   std::uint32_t key = 0;
   for (auto _ : state) {
@@ -170,7 +185,7 @@ void BM_WatchdogOnDemand(benchmark::State& state) {
   state.counters["feeds/sec"] = benchmark::Counter(
       static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_WatchdogOnDemand);
+BENCHMARK(BM_WatchdogOnDemand)->Arg(0)->Arg(128)->Arg(512);
 
 /// Enabled completion feed: breach EWMA update per query completion.  The
 /// slack stays positive so the breach-burst detector never opens.

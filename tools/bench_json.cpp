@@ -29,12 +29,15 @@
 // scored per demand
 // ([--online-out=BENCH_online.json] [--online-reps=3]).
 //
-// BENCH_obs.json: observability overhead on the 100-site online case, as
-// median wall time of a 20-run batch.  One interleaved loop times a plain
-// leg (everything off) against three legs: a full-mode journal appended at
-// every causal step (plus the per-run record count), the watchdog alone,
-// and the serving path — metrics + status board + 100 ms time-series
-// sampler + live HTTP server ([--obs-out=BENCH_obs.json] [--obs-reps=9]).
+// BENCH_obs.json: observability overhead as the median wall time of a
+// batch of online runs, on a quiet 100-site case (20-run batches, 2
+// alerts per run) and a loaded drift case (10-run batches, hundreds of
+// alerts per run, dozens open at once).  One interleaved loop per case
+// times a plain leg (everything off) against three legs: a full-mode
+// journal appended at every causal step (plus the per-run record count),
+// the watchdog alone, and the serving path — metrics + status board +
+// 100 ms time-series sampler + live HTTP server
+// ([--obs-out=BENCH_obs.json] [--obs-reps=9]).
 //
 // BENCH_flows.json: the flow-level network backend — run_online with
 // --network=flow vs the delay table at 1k and 10k sites (median wall time,
@@ -470,16 +473,66 @@ double online_batch_ms(const Instance& inst, const OnlineConfig& cfg,
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
 
-int emit_obs(const std::string& out_path, int reps) {
-  constexpr int kBatch = 20;
-  const CaseSpec c = {"G", 100, 500, 5};
+/// One BENCH_obs case: an online run and the batch size that resolves it.
+struct ObsCase {
+  std::string name;
+  std::size_t network = 0;
+  std::size_t queries = 0;
+  int batch = 0;
+  Instance inst;
+  OnlineConfig cfg;
+};
+
+/// The 100-site generated case: a quiet run (2 alerts).
+ObsCase obs_quiet_case() {
   WorkloadConfig cfg;
-  cfg.network_size = c.network;
-  cfg.min_queries = c.queries;
-  cfg.max_queries = c.queries;
+  cfg.network_size = 100;
+  cfg.min_queries = cfg.max_queries = 500;
   cfg.min_datasets_per_query = 1;
-  cfg.max_datasets_per_query = c.f_max;
-  const Instance inst = generate_instance(cfg, /*seed=*/42);
+  cfg.max_datasets_per_query = 5;
+  return {"G", 100, 500, 20, generate_instance(cfg, /*seed=*/42), {}};
+}
+
+/// A loaded drift case (the watchdog/many_open_alerts golden's run):
+/// 256 sites at 2% of their capacity, a drifting Zipf(2) mix, a diurnal
+/// wave and faults.  Hundreds of alerts open per run, up to 78 at once.
+ObsCase obs_drift_case() {
+  StreamWorkloadConfig wc;
+  wc.sites = 256;
+  wc.queries = 20000;
+  wc.datasets = 16;
+  wc.max_demands = 3;
+  wc.max_replicas = 32;
+  wc.volume = {3.0, 4.0};
+  wc.zipf_exponent = 2.0;
+  wc.zipf_drift_period = 2000;
+  ObsCase c{"drift", wc.sites, wc.queries, 10, stream_instance(wc, 0x3a1e),
+            {}};
+  for (const Site& s : c.inst.sites()) {
+    c.inst.set_available(s.id, 0.02 * s.capacity);
+  }
+  c.cfg.seed = 0x3a1e;
+  c.cfg.arrival_rate = 5000.0;
+  c.cfg.wave_amplitude = 0.5;
+  c.cfg.wave_period = 4.0 / 3.0;
+  c.cfg.repair_on_failure = true;
+  FaultScenarioConfig fc;
+  fc.horizon = 3.2;
+  fc.site_crashes = 4;
+  fc.capacity_losses = 4;
+  fc.mean_repair_time = 0.4;
+  fc.cloudlets_only = false;
+  c.cfg.faults = generate_fault_trace(c.inst, fc, 0x3a1e);
+  return c;
+}
+
+int emit_obs(const std::string& out_path, int reps) {
+  std::ofstream out(out_path);
+  if (!out) {
+    std::cerr << "bench_json: cannot open " << out_path << "\n";
+    return 1;
+  }
+  const ObsCase cases[] = {obs_quiet_case(), obs_drift_case()};
 
   // Serving-leg setup: metrics + status board + sampler at the documented
   // 100 ms interval + a live (unscraped) HTTP server — the `online --serve`
@@ -503,98 +556,94 @@ int emit_obs(const std::string& out_path, int reps) {
   });
   server.start(0);
   obs::metrics().reset();
-  OnlineConfig serve_cfg;
-  serve_cfg.status_board = &board;
   sampler.start(100);
 
-  // Interleave the legs so slow machine drift (frequency scaling,
-  // background load) hits every leg equally instead of biasing whichever
-  // loop runs last.  This measures the steady-state path: one unscored
-  // warm-up batch faults in the journal arena, and the per-rep clear()
-  // keeps its capacity, so scored appends never pay geometric growth or
-  // first-touch page faults — those are one-time costs of a long-running
-  // recorder, not recurring work.
-  obs::set_all_enabled(false);
-  obs::recorder().configure(obs::RecorderMode::kFull);
-  obs::set_recorder_enabled(true);
-  online_batch_ms(inst, {}, kBatch);  // warm-up: grows the arena once
-  obs::set_recorder_enabled(false);
-  std::vector<double> plain_samples, record_samples, watchdog_samples,
-      serve_samples;
-  plain_samples.reserve(static_cast<std::size_t>(reps));
-  record_samples.reserve(static_cast<std::size_t>(reps));
-  watchdog_samples.reserve(static_cast<std::size_t>(reps));
-  serve_samples.reserve(static_cast<std::size_t>(reps));
-  std::uint64_t batch_records = 0;
-  std::size_t batch_alerts = 0;
-  for (int r = 0; r < reps; ++r) {
-    obs::set_recorder_enabled(false);
-    plain_samples.push_back(online_batch_ms(inst, {}, kBatch));
-    obs::recorder().clear();  // drop records, keep the warm arena
-    obs::set_recorder_enabled(true);
-    record_samples.push_back(online_batch_ms(inst, {}, kBatch));
-    batch_records = obs::recorder().total_appended();
-    // Third leg: the watchdog alone (recorder back off), so the sensor
-    // plane's per-event detector cost is measured separately from the
-    // journal append cost it can piggyback on.
-    obs::set_recorder_enabled(false);
-    obs::set_watchdog_enabled(true);
-    watchdog_samples.push_back(online_batch_ms(inst, {}, kBatch));
-    batch_alerts = obs::watchdog().stats().opened;
-    obs::set_watchdog_enabled(false);
-    // Fourth leg: the serving path (metrics on, status board attached).
-    obs::set_metrics_enabled(true);
-    serve_samples.push_back(online_batch_ms(inst, serve_cfg, kBatch));
-    obs::set_metrics_enabled(false);
-  }
-  sampler.stop();
-  server.stop();
-  obs::set_recorder_enabled(false);
-  obs::recorder().configure(obs::RecorderMode::kFull);  // release the arena
-  const double plain_ms = median(std::move(plain_samples));
-  const double recording_ms = median(std::move(record_samples));
-  const double watchdog_ms = median(std::move(watchdog_samples));
-  const double serving_ms = median(std::move(serve_samples));
-  const double overhead_pct = (recording_ms / plain_ms - 1.0) * 100.0;
-  const double watchdog_overhead_pct = (watchdog_ms / plain_ms - 1.0) * 100.0;
-  const double serve_overhead_pct = (serving_ms / plain_ms - 1.0) * 100.0;
-  const std::uint64_t records_per_run =
-      batch_records / static_cast<std::uint64_t>(kBatch);
-
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "bench_json: cannot open " << out_path << "\n";
-    return 1;
-  }
   out << "{\n"
       << "  \"benchmark\": \"flight_recorder\",\n"
       << "  \"metric\": \"median_batch_ms\",\n"
       << "  \"record_bytes\": " << sizeof(obs::JournalRecord) << ",\n"
-      << "  \"batch\": " << kBatch << ",\n"
       << "  \"reps\": " << reps << ",\n"
-      << "  \"cases\": [\n"
-      << "    {\"case\": \"" << c.name << "\", \"network_size\": "
-      << c.network << ", \"queries\": " << c.queries
-      << ", \"plain_ms\": " << round2(plain_ms)
-      << ", \"recording_ms\": " << round2(recording_ms)
-      << ", \"overhead_pct\": " << round2(overhead_pct)
-      << ", \"records_per_run\": " << records_per_run
-      << ", \"watchdog_ms\": " << round2(watchdog_ms)
-      << ", \"watchdog_overhead_pct\": " << round2(watchdog_overhead_pct)
-      << ", \"alerts_per_run\": " << batch_alerts
-      << ", \"serving_ms\": " << round2(serving_ms)
-      << ", \"serve_overhead_pct\": " << round2(serve_overhead_pct) << "}\n"
-      << "  ]\n}\n";
+      << "  \"cases\": [\n";
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    const ObsCase& c = cases[i];
+    OnlineConfig serve_cfg = c.cfg;
+    serve_cfg.status_board = &board;
+    // Interleave the legs so slow machine drift (frequency scaling,
+    // background load) hits every leg equally instead of biasing whichever
+    // loop runs last.  This measures the steady-state path: one unscored
+    // warm-up batch faults in the journal arena, and the per-rep clear()
+    // keeps its capacity, so scored appends never pay geometric growth or
+    // first-touch page faults — those are one-time costs of a long-running
+    // recorder, not recurring work.
+    obs::set_all_enabled(false);
+    obs::recorder().configure(obs::RecorderMode::kFull);
+    obs::set_recorder_enabled(true);
+    online_batch_ms(c.inst, c.cfg, c.batch);  // warm-up: grows the arena
+    obs::set_recorder_enabled(false);
+    std::vector<double> plain_samples, record_samples, watchdog_samples,
+        serve_samples;
+    std::uint64_t batch_records = 0;
+    std::size_t run_alerts = 0;
+    for (int r = 0; r < reps; ++r) {
+      obs::set_recorder_enabled(false);
+      plain_samples.push_back(online_batch_ms(c.inst, c.cfg, c.batch));
+      obs::recorder().clear();  // drop records, keep the warm arena
+      obs::set_recorder_enabled(true);
+      record_samples.push_back(online_batch_ms(c.inst, c.cfg, c.batch));
+      batch_records = obs::recorder().total_appended();
+      // Third leg: the watchdog alone (recorder back off), so the sensor
+      // plane's per-event detector cost is measured separately from the
+      // journal append cost it can piggyback on.
+      obs::set_recorder_enabled(false);
+      obs::set_watchdog_enabled(true);
+      watchdog_samples.push_back(online_batch_ms(c.inst, c.cfg, c.batch));
+      run_alerts = obs::watchdog().stats().opened;
+      obs::set_watchdog_enabled(false);
+      // Fourth leg: the serving path (metrics on, status board attached).
+      obs::set_metrics_enabled(true);
+      serve_samples.push_back(online_batch_ms(c.inst, serve_cfg, c.batch));
+      obs::set_metrics_enabled(false);
+    }
+    obs::set_recorder_enabled(false);
+    obs::recorder().configure(obs::RecorderMode::kFull);  // release the arena
+    const double plain_ms = median(std::move(plain_samples));
+    const double recording_ms = median(std::move(record_samples));
+    const double watchdog_ms = median(std::move(watchdog_samples));
+    const double serving_ms = median(std::move(serve_samples));
+    const double overhead_pct = (recording_ms / plain_ms - 1.0) * 100.0;
+    const double watchdog_overhead_pct =
+        (watchdog_ms / plain_ms - 1.0) * 100.0;
+    const double serve_overhead_pct = (serving_ms / plain_ms - 1.0) * 100.0;
+    const std::uint64_t records_per_run =
+        batch_records / static_cast<std::uint64_t>(c.batch);
 
-  std::cerr << "flight recorder " << c.network << "x" << c.queries
-            << " (batch " << kBatch << "): plain " << plain_ms
-            << " ms, recording " << recording_ms << " ms ("
-            << overhead_pct << "%), " << records_per_run
-            << " records/run; watchdog " << watchdog_ms << " ms ("
-            << watchdog_overhead_pct << "%, " << batch_alerts
-            << " alerts/run); serving " << serving_ms << " ms ("
-            << serve_overhead_pct << "%)\n"
-            << "wrote " << out_path << "\n";
+    out << "    {\"case\": \"" << c.name << "\", \"network_size\": "
+        << c.network << ", \"queries\": " << c.queries
+        << ", \"batch\": " << c.batch
+        << ", \"plain_ms\": " << round2(plain_ms)
+        << ", \"recording_ms\": " << round2(recording_ms)
+        << ", \"overhead_pct\": " << round2(overhead_pct)
+        << ", \"records_per_run\": " << records_per_run
+        << ", \"watchdog_ms\": " << round2(watchdog_ms)
+        << ", \"watchdog_overhead_pct\": " << round2(watchdog_overhead_pct)
+        << ", \"alerts_per_run\": " << run_alerts
+        << ", \"serving_ms\": " << round2(serving_ms)
+        << ", \"serve_overhead_pct\": " << round2(serve_overhead_pct) << "}"
+        << (i + 1 < std::size(cases) ? "," : "") << "\n";
+
+    std::cerr << "flight recorder " << c.name << " " << c.network << "x"
+              << c.queries << " (batch " << c.batch << "): plain "
+              << plain_ms << " ms, recording " << recording_ms << " ms ("
+              << overhead_pct << "%), " << records_per_run
+              << " records/run; watchdog " << watchdog_ms << " ms ("
+              << watchdog_overhead_pct << "%, " << run_alerts
+              << " alerts/run); serving " << serving_ms << " ms ("
+              << serve_overhead_pct << "%)\n";
+  }
+  sampler.stop();
+  server.stop();
+  out << "  ]\n}\n";
+  std::cerr << "wrote " << out_path << "\n";
   return 0;
 }
 

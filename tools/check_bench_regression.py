@@ -43,7 +43,7 @@ IDENTITY_KEYS = ("case", "network_size", "queries", "nodes", "sites")
 # neither identity nor guarded latency metrics.  Anything outside this list
 # (and the identity/metric sets) fails hard — see the module docstring.
 INFO_KEYS = frozenset({
-    "admitted", "admitted_per_sec", "alerts_per_run", "candidates",
+    "admitted", "admitted_per_sec", "alerts_per_run", "batch", "candidates",
     "completions",
     "dense_entries", "events_per_sec", "evicted", "finalize_speedup",
     "flow_overhead_pct", "flows", "flows_routed", "gap_breaches",
