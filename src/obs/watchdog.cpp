@@ -100,15 +100,16 @@ void Watchdog::begin_run() {
   transitions_.clear();
   sketch_ = SpaceSavingSketch(cfg_.sketch_size);
   demands_seen_ = 0;
+  hotspots_.clear();
   regions_.clear();
   sites_.clear();
   links_.clear();
   breach_level_ = WatchdogEwma{cfg_.breach_ewma_alpha};
   completions_seen_ = 0;
-  breach_open_ = false;
+  breach_alert_ = kClosed;
   std::lock_guard<std::mutex> lock(mu_);
   alerts_.clear();
-  open_.clear();
+  open_count_ = 0;
   worst_severity_ = 0;
 }
 
@@ -165,57 +166,48 @@ void Watchdog::feed_rate_sample(double t, std::uint32_t region, double rate) {
   if (r.baseline <= 0.0) return;  // silent warmup: no baseline to compare to
   r.ratio.feed(rate / r.baseline);
   const bool alarm = r.cusum.feed(r.ratio.value);
-  if (!r.open && alarm) {
-    r.open = true;
-    open_alert(t, AlertKind::kArrivalRateShift,
-               r.ratio.value > cfg_.rate_critical_ratio
-                   ? AlertSeverity::kCritical
-                   : AlertSeverity::kWarning,
-               AlertSubjectKind::kRegion, region, r.ratio.value,
-               1.0 + cfg_.rate_cusum_slack);
-  } else if (r.open && r.ratio.value < cfg_.rate_resolve_ratio) {
-    r.open = false;
+  if (r.alert == kClosed && alarm) {
+    r.alert = open_alert(t, AlertKind::kArrivalRateShift,
+                         r.ratio.value > cfg_.rate_critical_ratio
+                             ? AlertSeverity::kCritical
+                             : AlertSeverity::kWarning,
+                         AlertSubjectKind::kRegion, region, r.ratio.value,
+                         1.0 + cfg_.rate_cusum_slack);
+  } else if (r.alert != kClosed && r.ratio.value < cfg_.rate_resolve_ratio) {
     r.cusum.rearm();
-    resolve_alert(t, AlertKind::kArrivalRateShift, AlertSubjectKind::kRegion,
-                  region, r.ratio.value);
+    resolve_alert(t, r.alert, r.ratio.value);
   }
 }
 
 void Watchdog::on_demand(double t, std::uint32_t dataset) {
-  sketch_.feed(dataset);
+  const std::uint64_t count = sketch_.feed(dataset);
   ++demands_seen_;
   if (demands_seen_ < cfg_.hotspot_warmup) return;
   const double total = static_cast<double>(sketch_.total());
-  const double share =
-      static_cast<double>(sketch_.estimate(dataset)) / total;
-  if (share > cfg_.hotspot_open_share &&
-      !is_open(AlertKind::kDatasetHotspot, AlertSubjectKind::kDataset,
-               dataset)) {
-    open_alert(t, AlertKind::kDatasetHotspot,
-               share > cfg_.hotspot_critical_share ? AlertSeverity::kCritical
-                                                   : AlertSeverity::kWarning,
-               AlertSubjectKind::kDataset, dataset, share,
-               cfg_.hotspot_open_share);
-  }
-  // Hysteresis resolution for every hotspot still open, in ascending
-  // dataset order (std::map order — deterministic).
-  std::vector<std::uint32_t> open_hotspots;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [key, idx] : open_) {
-      if (std::get<0>(key) ==
-              static_cast<std::uint8_t>(AlertKind::kDatasetHotspot) &&
-          std::get<1>(key) ==
-              static_cast<std::uint8_t>(AlertSubjectKind::kDataset)) {
-        open_hotspots.push_back(std::get<2>(key));
-      }
+  const double share = static_cast<double>(count) / total;
+  if (share > cfg_.hotspot_open_share) {
+    const auto at = std::lower_bound(
+        hotspots_.begin(), hotspots_.end(), dataset,
+        [](const auto& h, std::uint32_t ds) { return h.first < ds; });
+    if (at == hotspots_.end() || at->first != dataset) {
+      const std::uint32_t slot = open_alert(
+          t, AlertKind::kDatasetHotspot,
+          share > cfg_.hotspot_critical_share ? AlertSeverity::kCritical
+                                              : AlertSeverity::kWarning,
+          AlertSubjectKind::kDataset, dataset, share, cfg_.hotspot_open_share);
+      hotspots_.insert(at, {dataset, slot});
     }
   }
-  for (std::uint32_t ds : open_hotspots) {
-    const double s = static_cast<double>(sketch_.estimate(ds)) / total;
+  // Hysteresis resolution for every hotspot still open, in ascending
+  // dataset order.
+  for (std::size_t i = 0; i < hotspots_.size();) {
+    const double s =
+        static_cast<double>(sketch_.estimate(hotspots_[i].first)) / total;
     if (s < cfg_.hotspot_resolve_share) {
-      resolve_alert(t, AlertKind::kDatasetHotspot, AlertSubjectKind::kDataset,
-                    ds, s);
+      resolve_alert(t, hotspots_[i].second, s);
+      hotspots_.erase(hotspots_.begin() + static_cast<std::ptrdiff_t>(i));
+    } else {
+      ++i;
     }
   }
 }
@@ -233,25 +225,22 @@ void Watchdog::on_site_util(double t, std::uint32_t site, double util) {
   SiteState& s = sites_[site];
   s.util.feed(util);
   ++s.samples;
-  if (!s.open) {
+  if (s.alert == kClosed) {
     const bool alarm = s.ph.feed(s.util.value);
     if (alarm && s.samples >= cfg_.site_warmup &&
         s.util.value > cfg_.site_open_floor) {
-      s.open = true;
       s.open_ewma = s.util.value;
-      open_alert(t, AlertKind::kSiteOverload,
-                 s.util.value > cfg_.site_critical_util
-                     ? AlertSeverity::kCritical
-                     : AlertSeverity::kWarning,
-                 AlertSubjectKind::kSite, site, s.util.value,
-                 cfg_.site_ph_lambda);
+      s.alert = open_alert(t, AlertKind::kSiteOverload,
+                           s.util.value > cfg_.site_critical_util
+                               ? AlertSeverity::kCritical
+                               : AlertSeverity::kWarning,
+                           AlertSubjectKind::kSite, site, s.util.value,
+                           cfg_.site_ph_lambda);
     }
   } else if (s.util.value < s.open_ewma * cfg_.site_resolve_frac) {
-    s.open = false;
     s.ph.reset();
     s.samples = 0;
-    resolve_alert(t, AlertKind::kSiteOverload, AlertSubjectKind::kSite, site,
-                  s.util.value);
+    resolve_alert(t, s.alert, s.util.value);
   }
 }
 
@@ -260,19 +249,17 @@ void Watchdog::on_completion(double t, double slack, bool failed) {
   breach_level_.feed(breach ? 1.0 : 0.0);
   ++completions_seen_;
   if (completions_seen_ < cfg_.breach_warmup) return;
-  if (!breach_open_ && breach_level_.value > cfg_.breach_open_level) {
-    breach_open_ = true;
-    open_alert(t, AlertKind::kBreachBurst,
-               breach_level_.value > cfg_.breach_critical_level
-                   ? AlertSeverity::kCritical
-                   : AlertSeverity::kWarning,
-               AlertSubjectKind::kRegion, 0, breach_level_.value,
-               cfg_.breach_open_level);
-  } else if (breach_open_ &&
+  if (breach_alert_ == kClosed &&
+      breach_level_.value > cfg_.breach_open_level) {
+    breach_alert_ = open_alert(t, AlertKind::kBreachBurst,
+                               breach_level_.value > cfg_.breach_critical_level
+                                   ? AlertSeverity::kCritical
+                                   : AlertSeverity::kWarning,
+                               AlertSubjectKind::kRegion, 0,
+                               breach_level_.value, cfg_.breach_open_level);
+  } else if (breach_alert_ != kClosed &&
              breach_level_.value < cfg_.breach_resolve_level) {
-    breach_open_ = false;
-    resolve_alert(t, AlertKind::kBreachBurst, AlertSubjectKind::kRegion, 0,
-                  breach_level_.value);
+    resolve_alert(t, breach_alert_, breach_level_.value);
   }
 }
 
@@ -289,28 +276,21 @@ void Watchdog::on_flow_retire(double t, std::uint32_t link, double stretch) {
   s.stretch.feed(std::max(stretch, 0.0));
   ++s.samples;
   if (s.samples < cfg_.stretch_warmup) return;
-  if (!s.open && s.stretch.value > cfg_.stretch_open_seconds) {
-    s.open = true;
-    open_alert(t, AlertKind::kFlowStretch, AlertSeverity::kWarning,
-               AlertSubjectKind::kLink, link, s.stretch.value,
-               cfg_.stretch_open_seconds);
-  } else if (s.open && s.stretch.value < cfg_.stretch_resolve_seconds) {
-    s.open = false;
-    resolve_alert(t, AlertKind::kFlowStretch, AlertSubjectKind::kLink, link,
-                  s.stretch.value);
+  if (s.alert == kClosed && s.stretch.value > cfg_.stretch_open_seconds) {
+    s.alert = open_alert(t, AlertKind::kFlowStretch, AlertSeverity::kWarning,
+                         AlertSubjectKind::kLink, link, s.stretch.value,
+                         cfg_.stretch_open_seconds);
+  } else if (s.alert != kClosed &&
+             s.stretch.value < cfg_.stretch_resolve_seconds) {
+    resolve_alert(t, s.alert, s.stretch.value);
   }
 }
 
-bool Watchdog::is_open(AlertKind kind, AlertSubjectKind subject_kind,
-                       std::uint32_t subject) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return open_.count({static_cast<std::uint8_t>(kind),
-                      static_cast<std::uint8_t>(subject_kind), subject}) > 0;
-}
-
-void Watchdog::open_alert(double t, AlertKind kind, AlertSeverity severity,
-                          AlertSubjectKind subject_kind, std::uint32_t subject,
-                          double value, double threshold) {
+std::uint32_t Watchdog::open_alert(double t, AlertKind kind,
+                                   AlertSeverity severity,
+                                   AlertSubjectKind subject_kind,
+                                   std::uint32_t subject, double value,
+                                   double threshold) {
   Alert alert;
   alert.onset = t;
   alert.kind = kind;
@@ -323,38 +303,30 @@ void Watchdog::open_alert(double t, AlertKind kind, AlertSeverity severity,
   {
     std::lock_guard<std::mutex> lock(mu_);
     alert.seq = static_cast<std::uint32_t>(alerts_.size());
-    open_[{static_cast<std::uint8_t>(kind),
-           static_cast<std::uint8_t>(subject_kind), subject}] =
-        alerts_.size();
     alerts_.push_back(alert);
     worst_severity_ =
         std::max(worst_severity_, static_cast<std::uint8_t>(severity));
-    open_now = open_.size();
+    open_now = ++open_count_;
   }
   transitions_.push_back(alert_record(alert, /*resolve=*/false, t, value));
   count_transition(false, open_now, value, kind);
+  return alert.seq;
 }
 
-void Watchdog::resolve_alert(double t, AlertKind kind,
-                             AlertSubjectKind subject_kind,
-                             std::uint32_t subject, double value) {
+void Watchdog::resolve_alert(double t, std::uint32_t& slot, double value) {
   Alert snapshot;
   std::size_t open_now = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const auto it = open_.find({static_cast<std::uint8_t>(kind),
-                                static_cast<std::uint8_t>(subject_kind),
-                                subject});
-    if (it == open_.end()) return;
-    Alert& alert = alerts_[it->second];
+    Alert& alert = alerts_[slot];
     alert.resolve = t;
     alert.resolve_value = value;
     snapshot = alert;
-    open_.erase(it);
-    open_now = open_.size();
+    open_now = --open_count_;
   }
+  slot = kClosed;
   transitions_.push_back(alert_record(snapshot, /*resolve=*/true, t, value));
-  count_transition(true, open_now, value, kind);
+  count_transition(true, open_now, value, snapshot.kind);
 }
 
 std::vector<Alert> Watchdog::alerts() const {
@@ -366,7 +338,7 @@ WatchdogStats Watchdog::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   WatchdogStats s;
   s.opened = alerts_.size();
-  s.open_at_end = open_.size();
+  s.open_at_end = open_count_;
   s.resolved = s.opened - s.open_at_end;
   s.worst_severity = worst_severity_;
   for (const Alert& a : alerts_) {
