@@ -1,12 +1,16 @@
 #include "obs/recorder.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <stdexcept>
+#include <string>
 
 #include "obs/obs.h"
 
@@ -15,6 +19,17 @@ namespace edgerep::obs {
 namespace {
 
 constexpr char kMagic[8] = {'E', 'D', 'G', 'E', 'R', 'E', 'P', 'J'};
+
+/// The ring capacity an EDGEREP_RECORD suffix after "ring" names: "" for
+/// the default, ":N" for N in [1, kMaxRingCapacity]; 0 for anything else.
+std::size_t parse_ring_suffix(const char* suffix) {
+  if (suffix[0] == '\0') return kDefaultRingCapacity;
+  if (suffix[0] != ':') return 0;
+  const char* end = suffix + std::strlen(suffix);
+  std::size_t n = 0;
+  const auto [ptr, ec] = std::from_chars(suffix + 1, end, n);
+  return ec == std::errc() && ptr == end && n <= kMaxRingCapacity ? n : 0;
+}
 
 }  // namespace
 
@@ -57,6 +72,12 @@ const char* to_string(RecordKind kind) noexcept {
 }
 
 void Recorder::configure(RecorderMode mode, std::size_t ring_capacity) {
+  if (mode == RecorderMode::kRing && ring_capacity > kMaxRingCapacity) {
+    throw std::invalid_argument(
+        "Recorder::configure: ring capacity " +
+        std::to_string(ring_capacity) + " exceeds " +
+        std::to_string(kMaxRingCapacity) + " records");
+  }
   mode_ = mode;
   buf_.clear();
   ring_head_ = 0;
@@ -196,20 +217,19 @@ namespace detail {
 // process recorder to the environment default (off, full mode, empty).
 void recorder_apply_env() {
   const char* v = std::getenv("EDGEREP_RECORD");
-  if (v == nullptr || v[0] == '\0' || (v[0] == '0' && v[1] == '\0')) {
-    set_recorder_enabled(false);
-    recorder().configure(RecorderMode::kFull);
-    return;
-  }
+  set_recorder_enabled(false);
+  recorder().configure(RecorderMode::kFull);
+  if (v == nullptr || v[0] == '\0' || (v[0] == '0' && v[1] == '\0')) return;
   if (std::strncmp(v, "ring", 4) == 0) {
-    std::size_t capacity = kDefaultRingCapacity;
-    if (v[4] == ':') {
-      const long parsed = std::strtol(v + 5, nullptr, 10);
-      if (parsed > 0) capacity = static_cast<std::size_t>(parsed);
+    const std::size_t capacity = parse_ring_suffix(v + 4);
+    if (capacity == 0) {
+      std::fprintf(stderr,
+                   "warning: EDGEREP_RECORD=%s: expected ring or ring:N "
+                   "with N in [1, %zu]; recorder left off\n",
+                   v, kMaxRingCapacity);
+      return;
     }
     recorder().configure(RecorderMode::kRing, capacity);
-  } else {
-    recorder().configure(RecorderMode::kFull);
   }
   set_recorder_enabled(true);
 }

@@ -11,6 +11,11 @@
 //   EDGEREP_RECORD=ring       ring journal, default capacity
 //   EDGEREP_RECORD=ring:4096  ring journal keeping the last 4096 records
 //
+// A ring holds at most kMaxRingCapacity records (2^24, 640 MiB).  A value
+// starting with "ring" that is not exactly one of the two ring forms, with
+// N in [1, kMaxRingCapacity], prints one warning on stderr and leaves the
+// recorder off.
+//
 // Off, nothing is appended and outcomes are bit-identical.  On, a fixed
 // config produces a byte-identical journal across runs (tests/golden/
 // pins several): records carry only simulation-clock times and stable ids,
@@ -121,6 +126,8 @@ static_assert(sizeof(JournalHeader) == 48, "journal header layout is ABI");
 
 inline constexpr std::uint32_t kJournalVersion = 1;
 inline constexpr std::size_t kDefaultRingCapacity = 1u << 16;
+/// The largest ring `configure` accepts, in records.
+inline constexpr std::size_t kMaxRingCapacity = std::size_t{1} << 24;
 
 /// Single-writer journal buffer.  Full mode keeps everything; ring mode
 /// keeps the last `ring_capacity` records and counts the overwritten rest
@@ -132,7 +139,8 @@ class Recorder {
   Recorder& operator=(const Recorder&) = delete;
 
   /// Reset the journal and switch mode.  Ring mode preallocates the whole
-  /// buffer here so `append` never allocates.
+  /// buffer here so `append` never allocates; a ring capacity above
+  /// kMaxRingCapacity throws std::invalid_argument and changes nothing.
   void configure(RecorderMode mode,
                  std::size_t ring_capacity = kDefaultRingCapacity);
 

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -252,10 +253,46 @@ TEST_F(RecorderTest, EnvironmentGrammarControlsTheGlobalRecorder) {
   obs::init_from_env();
   EXPECT_EQ(obs::recorder().ring_capacity(), obs::kDefaultRingCapacity);
 
+  // A ring suffix that is not exactly ":N" with N in [1, 2^24] prints one
+  // warning and leaves the recorder off, in full mode, without allocating
+  // (ring:100000000000 used to abort every binary during static init).
+  for (const char* bad : {"ring:4096abc", "ring:100000000000", "ring:16777217",
+                          "ring:0", "ring:", "ring:-5", "ring:+5", "ringo"}) {
+    ::setenv("EDGEREP_RECORD", "ring:128", 1);
+    obs::init_from_env();
+    ASSERT_TRUE(obs::recorder_enabled());
+    ::setenv("EDGEREP_RECORD", bad, 1);
+    ::testing::internal::CaptureStderr();
+    obs::init_from_env();
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_FALSE(obs::recorder_enabled()) << bad;
+    EXPECT_EQ(obs::recorder().mode(), obs::RecorderMode::kFull) << bad;
+    EXPECT_EQ(err, "warning: EDGEREP_RECORD=" + std::string(bad) +
+                       ": expected ring or ring:N with N in [1, 16777216]; "
+                       "recorder left off\n");
+  }
+
   ::unsetenv("EDGEREP_RECORD");
   obs::init_from_env();
   EXPECT_FALSE(obs::recorder_enabled());
   EXPECT_EQ(obs::recorder().size(), 0u);  // init clears the journal
+}
+
+TEST_F(RecorderTest, ConfigureRejectsARingPastTheBound) {
+  EXPECT_EQ(obs::kMaxRingCapacity, 16777216u);
+  EXPECT_GE(obs::kMaxRingCapacity, 4000000u);  // the nightly job's ring
+  obs::Recorder rec;
+  rec.configure(obs::RecorderMode::kRing, 8);
+  rec.append(make_record(1));
+  EXPECT_THROW(rec.configure(obs::RecorderMode::kRing,
+                             obs::kMaxRingCapacity + 1),
+               std::invalid_argument);
+  EXPECT_THROW(rec.configure(obs::RecorderMode::kRing, 100'000'000'000),
+               std::invalid_argument);
+  // The throw comes before any change.
+  EXPECT_EQ(rec.mode(), obs::RecorderMode::kRing);
+  EXPECT_EQ(rec.ring_capacity(), 8u);
+  EXPECT_EQ(rec.size(), 1u);
 }
 
 TEST_F(RecorderTest, RecorderIsNotPartOfSetAllEnabled) {

@@ -105,13 +105,15 @@ int usage() {
       "  --record FILE        write the deterministic flight-recorder journal\n"
       "                       (binary; analyze with `postmortem`)\n"
       "  --record-mode MODE   full (default) keeps every record; ring keeps\n"
-      "                       the last --record-ring N (default 65536)\n"
+      "                       the last --record-ring N (default 65536, at\n"
+      "                       most 16777216)\n"
       "  --watchdog           stream workload-drift / SLO-anomaly detectors\n"
       "                       over the run; alerts print after the run, are\n"
       "                       journaled when --record is on, and serve at\n"
       "                       /alerts under --serve\n"
       "environment: EDGEREP_LOG=debug|info|warn|error, EDGEREP_OBS=1,\n"
-      "             EDGEREP_RECORD=full|ring[:N], EDGEREP_WATCHDOG=1\n";
+      "             EDGEREP_RECORD=full|ring[:N] (N <= 16777216),\n"
+      "             EDGEREP_WATCHDOG=1\n";
   return 2;
 }
 
@@ -802,7 +804,8 @@ std::function<void()> setup_observability(const Args& args) {
     const std::string mode = args.get("record-mode", "full");
     if (mode == "ring") {
       const std::size_t cap =
-          args.get_count("record-ring", obs::kDefaultRingCapacity);
+          args.get_count("record-ring", obs::kDefaultRingCapacity,
+                         obs::kMaxRingCapacity);
       obs::recorder().configure(obs::RecorderMode::kRing, cap);
     } else if (mode == "full") {
       obs::recorder().configure(obs::RecorderMode::kFull);
