@@ -72,6 +72,49 @@ void order_queries(const Instance& inst, const ApproOptions& opts,
   }
 }
 
+PricedChoice admit_demand(const Instance& inst, const Query& q,
+                          std::size_t di, const CandidateSoA& row,
+                          const PricingState& state, double need,
+                          DualState& duals, obs::AuditEntry* audit) {
+  const DatasetId n = q.demands[di].dataset;
+  const double mu_term =
+      kReplicaWeight / static_cast<double>(inst.max_replicas());
+  const PricedChoice ch =
+      price_candidates(row, state, need, kEtaWeight, mu_term);
+  const bool admitted = ch.candidate != PricedChoice::kNoCandidate;
+  if (audit != nullptr) {
+    audit->query = q.id;
+    audit->demand = static_cast<std::uint32_t>(di);
+    audit->dataset = n;
+    audit->admitted = admitted;
+    if (admitted) {
+      audit->reason = obs::AuditReason::kAdmitted;
+      audit->site = ch.site;
+      audit->placed_replica = ch.needs_replica;
+      audit->theta_term = state.theta[ch.site];
+      audit->capacity_term = need * state.inv_avail[ch.site];
+      audit->eta_term = kEtaWeight * row.dod[ch.candidate];
+      audit->mu_term = ch.needs_replica ? mu_term : 0.0;
+      audit->total_price = ch.price;
+    } else {
+      obs::RejectionClassifier why(state.budget_left);
+      for (const SiteId l : row.site) {
+        why.site(need <= (state.avail[l] - state.load[l]) + kCapacityEps,
+                 state.replica[l] != 0);
+      }
+      audit->reason = why.reason();
+    }
+  }
+  if (!admitted) return ch;
+  if (ch.needs_replica) duals.raise_mu(q.id);
+  duals.raise_theta(ch.site, need, state.avail[ch.site]);
+  const double vol = inst.dataset(n).volume;
+  const double tight =
+      std::max(0.0, vol * (1.0 - q.rate * duals.theta(ch.site)));
+  duals.set_y(q.id, std::max(duals.y(q.id), tight));
+  return ch;
+}
+
 void mark_atomic_rollback(std::vector<obs::AuditEntry>* audit,
                           std::size_t begin) {
   if (audit == nullptr) return;

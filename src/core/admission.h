@@ -1,4 +1,10 @@
-// The admission transaction of Algorithms 1–2, written once.
+// The admission step and transaction of Algorithms 1–2, written once.
+//
+// `admit_demand` is the Appro-S admission step (Algorithm 1) that
+// Algorithm 2 runs once per demand.  Batch Appro, repair's re-admission and
+// the stream shards all call it; they differ only in the candidate row and
+// the per-site state (availability, loads, replica mask) they feed it, and
+// each applies the returned choice to its own plan or shard state.
 //
 // Every engine that admits whole queries does it the same way: take the
 // queries in a fixed order (`order_queries`), run a per-demand step that
@@ -15,6 +21,7 @@
 
 #include "cloud/plan.h"
 #include "core/appro.h"
+#include "core/pricing.h"
 #include "core/primal_dual.h"
 #include "obs/audit.h"
 
@@ -25,6 +32,27 @@ namespace edgerep {
 /// on the order its members were collected in.
 void order_queries(const Instance& inst, const ApproOptions& opts,
                    std::vector<QueryId>& queries);
+
+/// The Appro-S admission step for demand `di` of query `q`.  Prices the
+/// demand's candidate `row` (its deadline-feasible sites) against `state`
+/// with the kernel: the price of site l is the rate at which uniform raising
+/// makes dual constraint (9) tight there — θ_l + need·(1/A(v_l)), the
+/// site's relative fill after the placement, plus the deadline-budget term
+/// η·(delay/deadline), plus μ/K when l holds no replica yet.  Minimizing it
+/// sends demands where computing resource is least scarce, keeping tiny
+/// cloudlets for deadline-bound queries.
+///
+/// When `audit` is given it records the decision: the winner's price terms,
+/// or the rejection reason classified over the row from the state's loads,
+/// availabilities and replica bytes.  On success it raises μ_m when the
+/// winner needs a fresh replica (Algorithm 1 line 7), θ_l by need /
+/// state.avail[l], and y_m to make (9) tight at l (line 9).  It returns
+/// the choice; the caller places the replica and the assignment.
+/// `state.theta` must be `duals`'s θ.
+PricedChoice admit_demand(const Instance& inst, const Query& q,
+                          std::size_t di, const CandidateSoA& row,
+                          const PricingState& state, double need,
+                          DualState& duals, obs::AuditEntry* audit);
 
 /// Audit bookkeeping of an atomic abort: the entries from `begin` up to the
 /// failing demand's (the last one) are re-marked kAtomicRollback, keeping

@@ -1,6 +1,5 @@
 #include "core/candidate_index.h"
 
-#include <algorithm>
 #include <numeric>
 #include <span>
 #include <type_traits>
@@ -23,21 +22,15 @@ constexpr std::size_t kOutLines = 4;
 
 }  // namespace
 
-CandidateIndex::CandidateIndex(const Instance& inst, bool parallel) {
+CandidateIndex::CandidateIndex(const Instance& inst, bool parallel)
+    : avail_(inst) {
   // The source lives for the build only: its lists are not needed after.
   const RowSource rows(inst, parallel);
-  const auto sites = inst.sites();
   const auto queries = inst.queries();
-  const std::size_t n_sites = sites.size();
+  const std::size_t n_sites = inst.sites().size();
 
-  inv_avail_.resize(n_sites);
-  avail_.resize(n_sites);
   std::vector<SiteId> all(n_sites);
-  for (const Site& s : sites) {
-    inv_avail_[s.id] = 1.0 / std::max(s.available, 1e-12);
-    avail_[s.id] = s.available;
-    all[s.id] = s.id;
-  }
+  std::iota(all.begin(), all.end(), SiteId{0});
   query_offset_.assign(rows.offsets().begin(), rows.offsets().end());
   const std::size_t slots = query_offset_.back();
   need_.resize(slots);

@@ -1,11 +1,16 @@
 // Per-demand candidate-site index for the admission hot path.
 //
 // For every (query, demand) pair the index precomputes the deadline-feasible
-// site list and the evaluation delay's deadline-relative form, so
-// `admit_demand`'s pricing scan touches only feasible sites and never
-// recomputes `volume·proc_delay + α·volume·path_delay`.  Per-demand resource
-// needs and per-site capacity reciprocals are cached alongside, turning the
-// per-candidate price into three multiply-adds on dynamic dual state.
+// site list and the evaluation delay's deadline-relative form, so the
+// admission step's pricing scan (`admit_demand`, core/admission.h) touches
+// only feasible sites and never recomputes
+// `volume·proc_delay + α·volume·path_delay`.  Per-demand resource needs and
+// the instance's SiteAvailability (A(v_l) and its reciprocal) are cached
+// alongside, turning the per-candidate price into three multiply-adds on
+// dynamic dual state.  Batch Appro feeds the rows to the step as they are;
+// repair feeds the ones its fault filter keeps (a fault-free row is a
+// superset of the faulted one) and prices them against its own effective
+// SiteAvailability.
 //
 // Rows live in one struct-of-arrays layout (site ids and η bases in two
 // parallel CSR arrays) and come from a RowSource (core/row_source.h), the
@@ -65,10 +70,10 @@ class CandidateIndex {
     return need_[query_offset_[m] + demand];
   }
 
-  /// Per-site 1 / max(A(v_l), 1e-12) — hoists the division out of pricing;
-  /// the kernel gathers it by site id.
-  [[nodiscard]] std::span<const double> inv_avail() const noexcept {
-    return inv_avail_;
+  /// The instance's availabilities A(v_l) and their reciprocals — the
+  /// kernel's capacity operands, gathered by site id.
+  [[nodiscard]] const SiteAvailability& availability() const noexcept {
+    return avail_;
   }
 
   /// Feasible sites for query m's demand at position `demand` in
@@ -83,12 +88,6 @@ class CandidateIndex {
     const std::size_t e = slot_begin_[slot + 1];
     return {{soa_site_.get() + b, soa_site_.get() + e},
             {soa_dod_.get() + b, soa_dod_.get() + e}};
-  }
-
-  /// Raw per-site availabilities A(v_l), indexed by site id — the kernel's
-  /// capacity-check operand (paired with a plan-loads span).
-  [[nodiscard]] std::span<const double> avail() const noexcept {
-    return avail_;
   }
 
   /// Total candidate entries (diagnostics / tests).
@@ -124,8 +123,7 @@ class CandidateIndex {
   std::vector<std::size_t> query_offset_;   ///< per query: first demand slot
   std::vector<std::size_t> slot_begin_;     ///< CSR offsets into the soa_*
   std::vector<double> need_;                ///< per demand slot
-  std::vector<double> inv_avail_;           ///< per site
-  std::vector<double> avail_;               ///< per site, raw A(v_l)
+  SiteAvailability avail_;
   // Allocated without zero-filling: the fill pass writes every entry, so
   // its threads are the first to touch the pages.
   std::unique_ptr<SiteId[]> soa_site_;

@@ -1,5 +1,6 @@
 #include "core/pricing.h"
 
+#include <algorithm>
 #include <limits>
 
 // x86 SIMD paths.  The intrinsics live behind GCC/Clang `target` attributes
@@ -137,6 +138,15 @@ bool cpu_has_avx2() {
 #endif  // EDGEREP_PRICING_X86
 
 }  // namespace
+
+SiteAvailability::SiteAvailability(const Instance& inst,
+                                   const std::function<double(SiteId)>& scale)
+    : avail_(inst.sites().size()), inv_(inst.sites().size()) {
+  for (const Site& s : inst.sites()) {
+    avail_[s.id] = scale ? s.available * scale(s.id) : s.available;
+    inv_[s.id] = 1.0 / std::max(avail_[s.id], 1e-12);
+  }
+}
 
 PricedChoice price_candidates(const CandidateSoA& soa,
                               const PricingState& state, double need,

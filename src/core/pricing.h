@@ -1,19 +1,23 @@
-// Vectorized dual-pricing kernel for the admission hot loop.
+// Vectorized dual-pricing kernel of the Appro-S admission step.
 //
 // The per-candidate price of serving a demand at site l is
 //
 //   p(l) = θ_l + need·(1/A(v_l)) + η·(delay_l/deadline) [+ μ/K if fresh]
 //
-// and the admission step is an argmin over the pruned candidate list with
-// feasibility masking (existing replica or budget left, residual capacity
-// fits).  The reference oracle walks the candidates one at a time and asks
-// the plan's replica list per candidate (`has_replica` is a linear scan);
-// this kernel instead lays each row out as struct-of-arrays (site ids, η
-// bases) and computes every candidate's price in one branch-light pass over
-// contiguous buffers, gathering the per-site state (θ, capacity reciprocal,
-// availability, committed load, a replica byte-mask) by site id.
+// and the admission step (`admit_demand`, core/admission.h) is an argmin
+// over the demand's candidate row with feasibility masking (existing
+// replica or budget left, residual capacity fits).  Batch Appro, repair and
+// the stream shards all price through this kernel; they differ only in the
+// row and the per-site state they feed it.  The kernel lays each row out as
+// struct-of-arrays (site ids, η bases) and computes every candidate's price
+// in one branch-light pass over contiguous buffers, gathering the per-site
+// state (θ, capacity reciprocal, availability, committed load, a replica
+// byte-mask) by site id.  A(v_l) is the instance's availability for batch
+// Appro and the shards and the effective one (A·scale under capacity
+// faults) for repair; `SiteAvailability` computes the reciprocal for all
+// of them.
 //
-// Equivalence contract: the kernel performs *exactly* the reference's
+// Equivalence contract: the kernel performs *exactly* the reference walk's
 // floating-point operations in the same order — `θ + need·inv + η·dod`, a
 // conditional `+ μ` (adding 0.0 keeps bits: every term is ≥ 0), and the
 // `fits` comparison against `(available − load) + kCapacityEps` — and its
@@ -25,6 +29,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -37,6 +42,25 @@ namespace edgerep {
 inline constexpr double kEtaWeight = 0.25;
 /// Weight μ of the replica-creation surcharge; a fresh replica pays μ/K.
 inline constexpr double kReplicaWeight = 0.5;
+
+/// Per-site availability A(v_l) and the capacity reciprocal the kernel
+/// gathers, 1 / max(A(v_l), 1e-12), computed here and nowhere else.
+class SiteAvailability {
+ public:
+  /// The availabilities of `inst`'s sites, each times scale(l) when a scale
+  /// is given (repair's effective availability under capacity faults).
+  explicit SiteAvailability(const Instance& inst,
+                            const std::function<double(SiteId)>& scale = {});
+
+  [[nodiscard]] std::span<const double> avail() const noexcept {
+    return avail_;
+  }
+  [[nodiscard]] std::span<const double> inv() const noexcept { return inv_; }
+
+ private:
+  std::vector<double> avail_;
+  std::vector<double> inv_;
+};
 
 /// Struct-of-arrays view of one demand's pruned candidate list.  Both spans
 /// have equal length; entry i describes the i-th deadline-feasible site in
@@ -55,8 +79,8 @@ struct CandidateSoA {
 /// ReplicaMaskWorkspace).
 struct PricingState {
   std::span<const double> theta;         ///< per site: dual capacity price
-  std::span<const double> inv_avail;     ///< per site: 1 / max(A(v_l), 1e-12)
-  std::span<const double> avail;         ///< per site: A(v_l), raw
+  std::span<const double> inv_avail;     ///< per site: SiteAvailability::inv
+  std::span<const double> avail;         ///< per site: SiteAvailability::avail
   std::span<const double> load;          ///< per site: committed load
   std::span<const std::uint8_t> replica; ///< per site: replica mask bytes
   bool budget_left = true;               ///< replica budget K not exhausted
@@ -113,14 +137,12 @@ class ReplicaMaskWorkspace {
   void set(std::span<const SiteId> sites) {
     for (const SiteId s : sites) mask_[s] = 1;
   }
-  void set_one(SiteId s) { mask_[s] = 1; }
 
   /// Clear exactly the sites set since the last clear (callers pass the same
   /// lists back; the mask itself keeps no touch journal).
   void clear(std::span<const SiteId> sites) {
     for (const SiteId s : sites) mask_[s] = 0;
   }
-  void clear_one(SiteId s) { mask_[s] = 0; }
 
   [[nodiscard]] std::span<const std::uint8_t> bytes() const noexcept {
     return mask_;

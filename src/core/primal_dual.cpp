@@ -27,8 +27,7 @@ DualState::DualState(const Instance& inst) : inst_(&inst) {
   mu_.assign(inst.queries().size(), 0.0);
 }
 
-void DualState::raise_theta(SiteId l, double resource_amount) {
-  const double avail = inst_->site(l).available;
+void DualState::raise_theta(SiteId l, double resource_amount, double avail) {
   if (avail > 0.0) {
     journal(Var::kTheta, l, theta_.at(l));
     theta_[l] += resource_amount / avail;

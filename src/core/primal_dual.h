@@ -26,14 +26,18 @@ class DualState {
  public:
   explicit DualState(const Instance& inst);
 
+  [[nodiscard]] const Instance& instance() const noexcept { return *inst_; }
+
   /// --- evolving prices used during the primal run ----------------------
   [[nodiscard]] double theta(SiteId l) const { return theta_.at(l); }
   /// Contiguous θ vector for the pricing kernel's unchecked gathers.
   [[nodiscard]] std::span<const double> theta_data() const noexcept {
     return theta_;
   }
-  /// Raise θ_l by the relative load `amount / A(v_l)` (uniform raising step).
-  void raise_theta(SiteId l, double resource_amount);
+  /// Raise θ_l by the relative load `amount / avail` (uniform raising
+  /// step), where `avail` is the availability the step priced l against:
+  /// A(v_l), or repair's effective A(v_l)·scale.  No-op when avail ≤ 0.
+  void raise_theta(SiteId l, double resource_amount, double avail);
 
   /// Directly re-price θ_l (journaled).  The repair engine uses this to
   /// reset a site's capacity price to `load / effective availability` after

@@ -13,16 +13,21 @@
 //      at every touched site (the invariant uniform raising maintains), and
 //      evicted queries' y_m return to 0, and
 //   3. **re-admits** the displaced queries through the admission loop
-//      (`admit_query`, core/admission.h), pricing candidates from the
-//      fault-free pruned CandidateIndex — a valid superset because faults
-//      only remove edges and capacity, never add them — with the effective
-//      feasibility checks layered on top.
+//      (`admit_query`, core/admission.h) and the batch path's admission
+//      step (`admit_demand`).  Its only variation is a fault filter over
+//      the fault-free pruned CandidateIndex rows — a valid superset because
+//      faults only remove edges and capacity, never add them — that keeps
+//      the sites that are up and, under link faults, meet the deadline with
+//      the effective delays (whose η bases they take).  The step prices
+//      them against the effective availability A·scale and raises θ by
+//      need / (A·scale).
 //
 // A full-recompute oracle lives behind `RepairOptions::full_recompute`: it
 // rebuilds the plan from scratch under the same faulted constraints, so
 // tests can assert the incremental result is admissible and within a
 // bounded objective gap, and the `micro_repair` bench can report the
-// latency advantage.
+// latency advantage.  With no fault it re-admits every query exactly as
+// appro_g does: same plan, same dual objective, same audited prices.
 //
 // Guarantees of the incremental path (tests/core/repair_test.cpp):
 //   * the repaired plan passes `validate_under_faults` (capacity with
@@ -81,8 +86,9 @@ class RepairEngine {
 
   /// Repair `plan`/`duals` in place against the effective network in
   /// `faults`.  Deterministic; transactional per re-admitted query (a query
-  /// that cannot be fully re-seated leaves no partial state).  The plan and
-  /// duals must belong to this engine's instance.
+  /// that cannot be fully re-seated leaves no partial state).  Throws
+  /// std::invalid_argument, before changing anything, unless the plan, the
+  /// duals and the fault state belong to this engine's instance.
   RepairStats repair(ReplicaPlan& plan, DualState& duals,
                      const FaultState& faults,
                      const RepairOptions& opts = {}) const;

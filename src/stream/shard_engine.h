@@ -1,8 +1,11 @@
 // Per-shard admission engine for the streaming plane (phase 1 of an epoch).
 //
-// Each shard owns a DualState and prices its queries only against its
-// ShardMap scan set (owned ∪ boundary sites), using the same vectorized
-// pricing kernel as the batch path.  The full CandidateIndex stores every
+// Each shard owns a DualState and admits its queries only against its
+// ShardMap scan set (owned ∪ boundary sites) through the batch path's
+// admission step (`admit_demand`, core/admission.h): the step prices the
+// row against the shard's local loads and replica bytes and raises the
+// shard's duals, and the shard applies the choice to its loads, masks and
+// rollback journal.  The full CandidateIndex stores every
 // row, quadratic in (queries × sites) where deadlines are loose — hopeless
 // at 1M queries × 10k sites — so the engine builds each demand's candidate
 // row on the fly into reusable SoA scratch buffers.  The row comes from
@@ -91,9 +94,8 @@ class ShardEngine {
   std::size_t num_sites_;
 
   DualState duals_;
+  SiteAvailability avail_;
   std::vector<double> local_load_;  ///< per site: epoch snapshot + pending
-  std::vector<double> avail_;      ///< per site: A(v_l)
-  std::vector<double> inv_avail_;  ///< per site: 1 / max(A(v_l), 1e-12)
   std::vector<std::uint8_t> in_scan_;  ///< per site: 1 = in the scan set
 
   /// Per (dataset, site) byte-mask: frozen-plan replicas ∪ shard-pending

@@ -22,9 +22,10 @@ TEST(DualState, StartsAtZero) {
 TEST(DualState, RaiseThetaIsRelativeLoad) {
   const Instance inst = TinyFixture::make();
   DualState d(inst);
-  d.raise_theta(0, 5.0);  // site 0 has 10 GHz available
+  // Site 0 has 10 GHz available.
+  d.raise_theta(0, 5.0, inst.site(0).available);
   EXPECT_DOUBLE_EQ(d.theta(0), 0.5);
-  d.raise_theta(0, 5.0);
+  d.raise_theta(0, 5.0, inst.site(0).available);
   EXPECT_DOUBLE_EQ(d.theta(0), 1.0);
 }
 
@@ -57,7 +58,7 @@ TEST(DualState, RepairProducesFeasibleDual) {
 TEST(DualState, RepairIsIdempotent) {
   const Instance inst = TinyFixture::make();
   DualState d(inst);
-  d.raise_theta(0, 2.0);
+  d.raise_theta(0, 2.0, inst.site(0).available);
   d.repair();
   const double obj = d.objective();
   d.repair();
@@ -70,8 +71,8 @@ TEST(DualState, HigherThetaLowersRequiredY) {
   DualState cold(inst);
   cold.repair();
   DualState warm(inst);
-  warm.raise_theta(0, 5.0);   // θ₀ = 0.5
-  warm.raise_theta(1, 50.0);  // θ₁ = 0.5
+  warm.raise_theta(0, 5.0, inst.site(0).available);   // θ₀ = 0.5
+  warm.raise_theta(1, 50.0, inst.site(1).available);  // θ₁ = 0.5
   warm.repair();
   // min θ = 0.5 ⇒ y = vol·(1 - r·0.5) = 4·0.5 = 2 < 4.
   EXPECT_LT(warm.y(0), cold.y(0));
@@ -81,7 +82,8 @@ TEST(DualState, HigherThetaLowersRequiredY) {
 TEST(DualState, ObjectiveIncludesCapacityTerm) {
   const Instance inst = TinyFixture::make();
   DualState d(inst);
-  d.raise_theta(1, 50.0);  // θ₁ = 0.5; site 1 has A = 100
+  // θ₁ = 0.5; site 1 has A = 100.
+  d.raise_theta(1, 50.0, inst.site(1).available);
   d.repair();
   // A₁·θ₁ = 50 plus K·μ terms.
   EXPECT_GE(d.objective(), 50.0);

@@ -8,6 +8,7 @@
 #include "cloud/plan_io.h"
 #include "core/appro.h"
 #include "helpers/fixtures.h"
+#include "helpers/golden.h"
 #include "obs/audit.h"
 #include "obs/obs.h"
 
@@ -15,6 +16,7 @@ namespace edgerep {
 namespace {
 
 using testing::medium_instance;
+using testing::small_instance;
 
 std::string plan_string(const ReplicaPlan& plan) {
   std::ostringstream os;
@@ -206,6 +208,74 @@ TEST(Repair, AuditRecordsEvictionsUnderTheRepairAlgorithm) {
   DualState plain_duals = solved.duals;
   engine.repair(plain, plain_duals, faults);
   EXPECT_EQ(plan_string(plan), plan_string(plain));
+}
+
+TEST(Repair, RejectsDualsOfAnotherInstance) {
+  const Instance inst = medium_instance(7);
+  const ApproResult solved = appro_g(inst);
+  const FaultState faults =
+      crash(inst, most_loaded_site(inst, solved.plan));
+  const RepairEngine engine(inst);
+  const Instance same_size = medium_instance(9);
+  const Instance smaller = small_instance(8);
+  ASSERT_EQ(same_size.sites().size(), inst.sites().size());
+  ASSERT_LT(smaller.sites().size(), inst.sites().size());
+  for (const Instance* other : {&same_size, &smaller}) {
+    ReplicaPlan plan = solved.plan;
+    DualState duals = appro_g(*other).duals;
+    EXPECT_THROW(engine.repair(plan, duals, faults), std::invalid_argument);
+    EXPECT_EQ(plan_string(plan), plan_string(solved.plan));
+  }
+}
+
+/// An audit entry's fields but `algorithm`, doubles as raw bits.
+std::string priced_fields(obs::AuditEntry e) {
+  e.algorithm = "";
+  return testing::audit_fp({e});
+}
+
+/// Batch Appro-G and repair's re-admission run one admission step: a full
+/// recompute with no fault re-admits every query against the instance's
+/// own availabilities, so it must reproduce appro_g's plan, its dual
+/// objective and every priced audit entry bit for bit.  The tight instance
+/// walks its rows (a few percent of 1000 sites per demand).
+TEST(Repair, FaultFreeFullRecomputeIsApproG) {
+  std::vector<Instance> instances;
+  for (const std::uint64_t seed : {3u, 7u, 11u, 19u, 23u}) {
+    instances.push_back(medium_instance(seed));
+  }
+  instances.push_back(testing::tight_deadline_instance());
+  obs::set_audit_enabled(true);
+  for (const Instance& inst : instances) {
+    SCOPED_TRACE(std::to_string(inst.sites().size()) + " sites, " +
+                 std::to_string(inst.queries().size()) + " queries");
+    obs::audit_log().clear();
+    const ApproResult solved = appro_g(inst);
+    const std::vector<obs::AuditEntry> batch = obs::audit_log().snapshot();
+    obs::audit_log().clear();
+
+    ReplicaPlan plan = solved.plan;
+    DualState duals = solved.duals;
+    RepairOptions full;
+    full.full_recompute = true;
+    RepairEngine(inst).repair(plan, duals, FaultState(inst), full);
+    std::vector<obs::AuditEntry> repaired;
+    for (const obs::AuditEntry& e : obs::audit_log().snapshot()) {
+      if (e.reason != obs::AuditReason::kFaultEvicted) repaired.push_back(e);
+    }
+
+    EXPECT_EQ(testing::plan_fp(plan, duals.objective()),
+              testing::plan_fp(solved.plan, solved.dual_objective));
+    ASSERT_EQ(repaired.size(), batch.size());
+    std::size_t differing = 0;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_STREQ(repaired[i].algorithm, "repair");
+      differing += priced_fields(repaired[i]) != priced_fields(batch[i]);
+    }
+    EXPECT_EQ(differing, 0u) << "of " << batch.size() << " entries";
+  }
+  obs::audit_log().clear();
+  obs::set_audit_enabled(false);
 }
 
 }  // namespace

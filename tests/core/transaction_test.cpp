@@ -30,15 +30,15 @@ namespace {
 TEST(DualSavepoint, RollbackRestoresAllVariablesExactly) {
   const Instance inst = testing::TinyFixture::make(/*deadline=*/5.0);
   DualState duals(inst);
-  duals.raise_theta(0, 3.0);
+  duals.raise_theta(0, 3.0, inst.site(0).available);
   duals.set_y(0, 0.25);
   const double theta0 = duals.theta(0);
   const double y0 = duals.y(0);
   const double mu0 = duals.mu(0);
 
   const auto sp = duals.savepoint();
-  duals.raise_theta(0, 1.7);
-  duals.raise_theta(1, 2.9);
+  duals.raise_theta(0, 1.7, inst.site(0).available);
+  duals.raise_theta(1, 2.9, inst.site(1).available);
   duals.raise_mu(0);
   duals.set_y(0, 4.5);
   EXPECT_EQ(duals.undo_log_size(), 4u);
@@ -56,11 +56,11 @@ TEST(DualSavepoint, NestedSavepointsUnwindInLifoOrder) {
   DualState duals(inst);
 
   const auto sp_outer = duals.savepoint();
-  duals.raise_theta(0, 1.0);
+  duals.raise_theta(0, 1.0, inst.site(0).available);
   const double mid_theta = duals.theta(0);
 
   const auto sp_inner = duals.savepoint();
-  duals.raise_theta(0, 1.0);
+  duals.raise_theta(0, 1.0, inst.site(0).available);
   duals.raise_mu(0);
 
   duals.rollback_to(sp_inner);
@@ -198,7 +198,7 @@ void expect_matches_naive_scan(const Instance& inst,
   }
   EXPECT_EQ(index.size(), entries);
   for (const Site& s : inst.sites()) {
-    EXPECT_EQ(bits(index.inv_avail()[s.id]),
+    EXPECT_EQ(bits(index.availability().inv()[s.id]),
               bits(1.0 / std::max(s.available, 1e-12)));
   }
 }
