@@ -7,7 +7,9 @@
 // (the placement sites' nodes, mirroring DelayTable rows, filled by the same
 // row fill) and extracts the edge ids of a source→target path on demand,
 // picking the cheapest parallel edge at every hop (the first cheapest wins
-// on equal delays), so both transfer models route identically.
+// on equal delays), so both transfer models route identically.  Like
+// DelayTable, a table can route over only the edges an up-mask leaves up,
+// which is how the online flow backend routes around downed links.
 #pragma once
 
 #include <cstdint>
@@ -27,9 +29,12 @@ class RouteTable {
  public:
   RouteTable() = default;
 
-  /// Throws std::invalid_argument when a source is out of range.
+  /// Throws std::invalid_argument when a source is out of range.  A
+  /// non-empty `edge_up` (one flag per graph edge) restricts the routes to
+  /// the edges it marks up, as it restricts DelayTable::compute's delays.
   static RouteTable compute(const Graph& g, std::span<const NodeId> sources,
-                            bool parallel = true);
+                            bool parallel = true,
+                            std::span<const char> edge_up = {});
 
   [[nodiscard]] std::size_t rows() const noexcept { return sources_.size(); }
   [[nodiscard]] std::size_t cols() const noexcept { return n_; }
@@ -48,6 +53,7 @@ class RouteTable {
   std::size_t n_ = 0;
   std::vector<NodeId> sources_;
   std::vector<NodeId> parent_;  ///< rows() × n_, row-major parent forests
+  std::vector<char> edge_up_;   ///< empty: every edge is up
 };
 
 }  // namespace edgerep

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cloud/delay.h"
@@ -100,6 +101,10 @@ class FaultState {
 
   /// --- effective network view ------------------------------------------
   [[nodiscard]] bool edge_up(EdgeId e) const { return edge_up_.at(e); }
+  /// One flag per graph edge, nonzero while the edge is up.
+  [[nodiscard]] std::span<const char> edge_mask() const noexcept {
+    return edge_up_;
+  }
   [[nodiscard]] bool any_link_down() const noexcept { return links_down_ > 0; }
   /// Minimum per-unit delay between two sites' nodes with downed links
   /// removed; equals the fault-free delay when no link is down.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -64,22 +65,47 @@ TEST(RouteTable, UnreachableTargetHasNoPath) {
 
 TEST(RouteTable, PathReconstructionIsConsistent) {
   // Every path leads from its source to its target, and its edge delays,
-  // summed in travel order, are the DelayTable distance bit for bit.
+  // summed in travel order, are the DelayTable distance bit for bit.  That
+  // holds too under an edge mask, which downs every fifth edge and every
+  // other one of the cheaper twins added beside every seventh: the masked
+  // paths use only edges that are up, and sum to the masked DelayTable.
   Rng rng(77);
-  const Graph g = gnp(40, 0.15, Range{0.1, 2.0}, rng);
+  Graph g = gnp(40, 0.15, Range{0.1, 2.0}, rng);
+  const std::size_t m = g.num_edges();
+  for (EdgeId e = 0; e < m; e += 7) {
+    const Edge edge = g.edge(e);
+    g.add_edge(edge.u, edge.v, edge.delay / 2.0);  // a cheaper parallel edge
+  }
+  g.seal();
+  std::vector<char> up(g.num_edges(), 1);
+  for (EdgeId e = 0; e < m; e += 5) up[e] = 0;
+  for (EdgeId e = m; e < g.num_edges(); e += 2) up[e] = 0;
   const std::vector<NodeId> sources{0, 13, 39};
-  const auto routes = RouteTable::compute(g, sources, /*parallel=*/false);
-  const auto delays = DelayTable::compute(g, sources, /*parallel=*/false);
-  std::vector<EdgeId> path;
-  for (std::size_t r = 0; r < sources.size(); ++r) {
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      ASSERT_TRUE(routes.edge_path(g, r, v, path));
-      EXPECT_EQ(walk(g, sources[r], path).back(), v);
-      double sum = 0.0;
-      for (const EdgeId e : path) sum += g.edge(e).delay;
-      EXPECT_EQ(sum, delays.at(r, v)) << "row " << r << " target " << v;
+  std::size_t downed_on_unmasked_paths = 0;
+  for (const bool masked : {false, true}) {
+    const std::span<const char> mask =
+        masked ? std::span<const char>(up) : std::span<const char>();
+    const auto routes = RouteTable::compute(g, sources, false, mask);
+    const auto delays = DelayTable::compute(g, sources, false, mask);
+    std::vector<EdgeId> path;
+    for (std::size_t r = 0; r < sources.size(); ++r) {
+      for (NodeId v = 0; v < g.num_nodes(); ++v) {
+        ASSERT_TRUE(routes.edge_path(g, r, v, path));
+        EXPECT_EQ(walk(g, sources[r], path).back(), v);
+        double sum = 0.0;
+        for (const EdgeId e : path) {
+          sum += g.edge(e).delay;
+          if (!up[e]) {
+            EXPECT_FALSE(masked) << "downed edge " << e << " on a route";
+            ++downed_on_unmasked_paths;
+          }
+        }
+        EXPECT_EQ(sum, delays.at(r, v))
+            << (masked ? "masked " : "") << "row " << r << " target " << v;
+      }
     }
   }
+  EXPECT_GT(downed_on_unmasked_paths, 0u) << "the mask never bites";
 }
 
 TEST(RouteTable, CheapestParallelEdgeWins) {
