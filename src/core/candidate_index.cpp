@@ -121,7 +121,7 @@ CandidateIndex::CandidateIndex(const Instance& inst, bool parallel)
         }
       }
     };
-    if (parallel && queries.size() * n_sites > 4096) {
+    if (parallel && queries.size() * n_sites > kPooledBuildThreshold) {
       global_pool().parallel_for_blocked(n_sites, block);
     } else {
       block(0, n_sites);

@@ -192,7 +192,7 @@ RowSource::RowSource(const Instance& inst, bool parallel) : inst_(&inst) {
       }
     }
   };
-  if (parallel && queries.size() * n_sites > 4096) {
+  if (parallel && queries.size() * n_sites > kPooledBuildThreshold) {
     global_pool().parallel_for_blocked(n_sites, home_block);
   } else {
     home_block(0, n_sites);

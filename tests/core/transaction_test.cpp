@@ -18,6 +18,7 @@
 #include "core/appro.h"
 #include "core/candidate_index.h"
 #include "core/primal_dual.h"
+#include "core/row_source.h"
 #include "helpers/fixtures.h"
 #include "helpers/golden.h"
 #include "util/rng.h"
@@ -273,10 +274,10 @@ constexpr double kLooseDeadline = 1e9;
 
 /// α·|S_n| underflows to 0, so a demand's reach is every reachable site;
 /// query 0's deadline is exactly volume · (smallest processing delay).
-Instance underflow_instance(std::uint64_t seed) {
+Instance underflow_instance(std::uint64_t seed, std::size_t queries = 120) {
   IndexCase c;
   c.sites = 40;
-  c.queries = 120;
+  c.queries = queries;
   c.homes = 4;
   c.tiny_volumes = true;
   const Instance probe = index_instance(seed, c);
@@ -379,32 +380,33 @@ TEST(CandidateIndexTest, MatchesNaiveFeasibilityAndDelay) {
 }
 
 TEST(CandidateIndexTest, ParallelBuildMatchesSerialBuild) {
-  IndexCase c;
-  c.sites = 64;
-  c.queries = 200;  // 64 × 200 sites·queries: above the fan-out cutoff
-  c.homes = 20;
-  const Instance spread = index_instance(41, c);
-  expect_identical_arrays(spread, CandidateIndex(spread, true),
-                          CandidateIndex(spread, false));
-  expect_matches_naive_scan(spread, CandidateIndex(spread, true));
-
-  c.homes = 1;  // every query shares one home: one column for all blocks
-  const Instance one_home = index_instance(43, c);
-  expect_identical_arrays(one_home, CandidateIndex(one_home, true),
-                          CandidateIndex(one_home, false));
-  expect_matches_naive_scan(one_home, CandidateIndex(one_home, true));
-
+  // Every instance holds more queries × sites than kPooledBuildThreshold,
+  // so its parallel build fans out on the pool.
   const auto both_builds = [](const Instance& inst) {
+    ASSERT_GT(inst.queries().size() * inst.sites().size(),
+              kPooledBuildThreshold);
     expect_identical_arrays(inst, CandidateIndex(inst, true),
                             CandidateIndex(inst, false));
     expect_matches_naive_scan(inst, CandidateIndex(inst, true));
   };
+  IndexCase c;
+  c.sites = 64;
+  c.queries = 640;
+  c.homes = 20;
+  both_builds(index_instance(41, c));
+  c.homes = 1;  // every query shares one home: one column for all blocks
+  both_builds(index_instance(43, c));
+
   for (const std::uint64_t seed : {44, 45, 46}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    both_builds(index_instance(seed, short_rows(seed)));
-    both_builds(index_instance(seed, short_rows(seed), kLooseDeadline));
-    both_builds(index_instance(seed, loose_rows(seed)));
-    both_builds(underflow_instance(seed));
+    IndexCase walk = short_rows(seed);
+    walk.queries = 400;
+    both_builds(index_instance(seed, walk));
+    both_builds(index_instance(seed, walk, kLooseDeadline));
+    IndexCase loose = loose_rows(seed);
+    loose.queries = 400;
+    both_builds(index_instance(seed, loose));
+    both_builds(underflow_instance(seed, /*queries=*/1200));
   }
 }
 
