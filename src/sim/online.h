@@ -19,8 +19,11 @@
 // demands are immediately re-seated on surviving sites when capacity and
 // effective deadlines allow, otherwise the affected queries fail.  Capacity
 // degradation sheds the most recently admitted work first until the site
-// fits its reduced availability; link faults reroute future admissions over
-// the surviving topology (in-flight transfers are not re-simulated).
+// fits its reduced availability.  Link faults reprice future admissions on
+// the surviving topology and, on the flow backend, reroute every transfer
+// started after them over the links that are up, the ones its delay was
+// priced on; in-flight transfers keep their routes and are not
+// re-simulated.
 //
 // Determinism contract: the arrival process is the *only* consumer of
 // randomness, drawn from `Rng(seed)`; fault traces are pre-generated,
