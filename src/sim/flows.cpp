@@ -268,11 +268,26 @@ void FlowEngine::fill_component() {
   }
 }
 
+bool FlowEngine::alone_on_path(std::uint32_t seed) const {
+  for (const EdgeId e : flows_[seed].path) {
+    if (link_users_[e].size() != 1) return false;
+  }
+  return true;
+}
+
 void FlowEngine::recompute(std::uint32_t seed, bool force_complete,
                            bool silent_seed) {
-  // Phase A: gather the changed flow's connected component.
-  ++epoch_;
-  gather_component(seed);
+  const bool incremental = mode_ == Recompute::kIncremental;
+  // Phase A: gather the changed flow's connected component.  A seed that
+  // is the only user of every link on its path is a component by itself:
+  // {seed} over its path, without the gather and its sort.
+  if (incremental && alone_on_path(seed)) {
+    comp_flows_.assign(1, seed);
+    comp_links_.assign(flows_[seed].path.begin(), flows_[seed].path.end());
+  } else {
+    ++epoch_;
+    gather_component(seed);
+  }
   touched_buf_.assign(comp_flows_.begin(), comp_flows_.end());
   // Phase B: integrate the component's transferred bytes up to now.
   const double t = now();
@@ -306,11 +321,16 @@ void FlowEngine::recompute(std::uint32_t seed, bool force_complete,
       complete_flow(f, force_complete && f == seed && !silent_seed);
     }
   }
-  // Phase D: refill the surviving components.  A retirement may have split
-  // the gathered component; each true component is gathered and filled
-  // separately so rates stay a pure function of component membership.
+  // Phase D: refill the surviving components.  Without a retirement the
+  // component of Phase A is intact and fills as gathered.  A retirement may
+  // have split it; each true component is gathered and filled separately
+  // so rates stay a pure function of component membership.
+  if (incremental && retire_buf_.empty()) {
+    fill_component();
+    return;
+  }
   ++epoch_;
-  if (mode_ == Recompute::kIncremental) {
+  if (incremental) {
     for (const std::uint32_t f : touched_buf_) {
       if (flows_[f].state != State::kActive || flow_mark_[f] == epoch_) {
         continue;
@@ -329,7 +349,8 @@ void FlowEngine::recompute(std::uint32_t seed, bool force_complete,
   }
 }
 
-std::uint32_t FlowEngine::start_flow(double size_gb, std::vector<EdgeId> path,
+std::uint32_t FlowEngine::start_flow(double size_gb,
+                                     const std::vector<EdgeId>& path,
                                      std::uint32_t tag, double rate_cap) {
   if (rate_cap <= 0.0) {
     throw std::invalid_argument("FlowEngine: rate cap must be > 0");
@@ -351,7 +372,7 @@ std::uint32_t FlowEngine::start_flow(double size_gb, std::vector<EdgeId> path,
   f.remaining = size_gb;
   f.rate = 0.0;
   f.last_advance = now();
-  f.path = std::move(path);
+  f.path.assign(path.begin(), path.end());  // reuses the slot's buffer
   f.state = State::kActive;
   ++active_;
   for (const EdgeId e : f.path) link_users_[e].push_back(slot);

@@ -10,18 +10,21 @@
 // The engine is incremental: a start or completion re-allocates only the
 // *connected component* of flows transitively sharing a link with the
 // changed flow — untouched components keep their rates (and their armed
-// completion events) bit for bit.  Rate computation is a pure function of
-// (link capacities, component's flow paths), canonicalized by ascending
-// slot order, so `Recompute::kFull` — which re-fills every component — is
-// bit-identical to the incremental path and serves as its oracle (pinned by
+// completion events) bit for bit.  A flow that is the only user of every
+// link on its path is its own component and is filled without a gather.
+// Rate computation is a pure function of (link capacities, component's
+// flow paths), canonicalized by ascending slot order, so `Recompute::kFull`
+// — which gathers and re-fills every component — is bit-identical to the
+// incremental path and serves as its oracle (pinned by
 // tests/sim/flows_test.cpp).
 //
-// Flows live in a slot registry with free-list reuse; paths are moved in,
-// never copied.  Completion events carry the flow's generation, which bumps
-// on every rate change, so a stale prediction self-discards.  Completions
-// surface as EvKind::kTransferDone events on the owning TypedEventQueue;
-// the run loop feeds them to handle_event(), which returns the caller's
-// tag when the flow is done.
+// Flows live in a slot registry with free-list reuse; a path is copied into
+// its slot's own buffer, whose capacity survives reuse, so starting a flow
+// allocates nothing once the slots are warm.  Completion events carry the
+// flow's generation, which bumps on every rate change, so a stale
+// prediction self-discards.  Completions surface as EvKind::kTransferDone
+// events on the owning TypedEventQueue; the run loop feeds them to
+// handle_event(), which returns the caller's tag when the flow is done.
 #pragma once
 
 #include <cstdint>
@@ -79,13 +82,13 @@ class FlowEngine {
     rate_listener_ = std::move(listener);
   }
 
-  /// Begin transferring `size_gb` along `path` (edge ids).  The
-  /// completion arrives on the queue as kTransferDone{a = slot, b =
-  /// generation}; handle_event returns `tag` when that event is current.
-  /// A flow of size 0 or with an empty path completes at now.  `rate_cap`
-  /// bounds the flow's rate.  Returns the flow's slot (usable with
-  /// cancel()).
-  std::uint32_t start_flow(double size_gb, std::vector<EdgeId> path,
+  /// Begin transferring `size_gb` along `path` (edge ids; copied, so the
+  /// caller may reuse its buffer).  The completion arrives on the queue as
+  /// kTransferDone{a = slot, b = generation}; handle_event returns `tag`
+  /// when that event is current.  A flow of size 0 or with an empty path
+  /// completes at now.  `rate_cap` bounds the flow's rate.  Returns the
+  /// flow's slot (usable with cancel()).
+  std::uint32_t start_flow(double size_gb, const std::vector<EdgeId>& path,
                            std::uint32_t tag,
                            double rate_cap = kUnconstrainedRate);
 
@@ -122,7 +125,7 @@ class FlowEngine {
     double rate = 0.0;
     double cap = kUnconstrainedRate;  ///< per-flow rate ceiling
     double last_advance = 0.0;
-    std::vector<EdgeId> path;        ///< moved in; capacity reused on reuse
+    std::vector<EdgeId> path;        ///< copied in; capacity kept on reuse
     std::uint32_t tag = 0;           ///< handle_event result; listener label
     std::uint32_t gen = 0;           ///< bumps on rate change and retire
     State state = State::kFree;
@@ -145,6 +148,10 @@ class FlowEngine {
   /// Gather the connected component containing `seed` into comp_flows_ /
   /// comp_links_ (epoch-marked; comp_flows_ sorted ascending).
   void gather_component(std::uint32_t seed);
+
+  /// Is `seed` the only user of every link on its path (then it is a
+  /// component by itself)?
+  [[nodiscard]] bool alone_on_path(std::uint32_t seed) const;
 
   /// Canonical progressive filling over comp_flows_/comp_links_ alone.
   /// Pure function of (link capacities, component paths); flows whose rate

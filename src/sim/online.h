@@ -31,8 +31,9 @@
 // substreams from its own seed).  Fault events are scheduled before
 // arrivals, so a fault and an arrival at the same instant resolve
 // fault-first.  The event loop is single-threaded; only the link-fault
-// overlay's delay rows (and the flow backend's route rows) may fill on the
-// global pool, and rows are independent, so that cannot change a result.
+// overlay's delay rows may fill on the global pool, and rows are
+// independent, so that cannot change a result.  The flow backend's route
+// rows fill on the loop's thread, each on its first transfer.
 // Identical (instance, config) inputs therefore reproduce identical
 // fault+arrival event orderings and outcomes bit-for-bit, regardless of
 // the thread count used to finalize the instance (pinned by

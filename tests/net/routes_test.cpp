@@ -40,7 +40,7 @@ TEST(RouteTable, PrefersCheaperLongerPath) {
   const EdgeId b = g.add_edge(1, 2, 1.0);
   const EdgeId c = g.add_edge(2, 3, 1.0);  // 3 hops, total 3
   const std::vector<NodeId> sources{0};
-  const auto routes = RouteTable::compute(g, sources, /*parallel=*/false);
+  auto routes = RouteTable::compute(g, sources);
   std::vector<EdgeId> path;
   ASSERT_TRUE(routes.edge_path(g, 0, 3, path));
   EXPECT_EQ(path, (std::vector<EdgeId>{a, b, c}));
@@ -51,7 +51,7 @@ TEST(RouteTable, UnreachableTargetHasNoPath) {
   Graph g(3);
   g.add_edge(0, 1, 1.0);
   const std::vector<NodeId> sources{0};
-  const auto routes = RouteTable::compute(g, sources, /*parallel=*/false);
+  auto routes = RouteTable::compute(g, sources);
   std::vector<EdgeId> path{7};  // stale contents are cleared
   EXPECT_FALSE(routes.edge_path(g, 0, 2, path));
   EXPECT_TRUE(path.empty());
@@ -85,7 +85,7 @@ TEST(RouteTable, PathReconstructionIsConsistent) {
   for (const bool masked : {false, true}) {
     const std::span<const char> mask =
         masked ? std::span<const char>(up) : std::span<const char>();
-    const auto routes = RouteTable::compute(g, sources, false, mask);
+    auto routes = RouteTable::compute(g, sources, mask);
     const auto delays = DelayTable::compute(g, sources, false, mask);
     std::vector<EdgeId> path;
     for (std::size_t r = 0; r < sources.size(); ++r) {
@@ -115,7 +115,7 @@ TEST(RouteTable, CheapestParallelEdgeWins) {
   g.add_edge(0, 1, 3.0);
   const EdgeId next = g.add_edge(1, 2, 1.0);
   const std::vector<NodeId> sources{0, 2};
-  const auto routes = RouteTable::compute(g, sources, /*parallel=*/false);
+  auto routes = RouteTable::compute(g, sources);
   std::vector<EdgeId> path;
   ASSERT_TRUE(routes.edge_path(g, 0, 2, path));
   EXPECT_EQ(path, (std::vector<EdgeId>{cheap, next}));
@@ -132,7 +132,7 @@ TEST(RouteTable, FirstOfEqualParallelEdgesWins) {
   const std::vector<NodeId> sources{0, 1};
   for (const bool sealed : {false, true}) {
     if (sealed) g.seal();
-    const auto routes = RouteTable::compute(g, sources, /*parallel=*/false);
+    auto routes = RouteTable::compute(g, sources);
     std::vector<EdgeId> path;
     ASSERT_TRUE(routes.edge_path(g, 0, 1, path));
     EXPECT_EQ(path, std::vector<EdgeId>{first});
@@ -141,27 +141,51 @@ TEST(RouteTable, FirstOfEqualParallelEdgesWins) {
   }
 }
 
-TEST(RouteTable, ParallelEqualsSerial) {
-  // 100 rows fan out onto the pool; every path must match the serial fill.
+TEST(RouteTable, PathsDoNotDependOnRowFillOrder) {
+  // Rows fill on first use.  Filling them in ascending and in descending
+  // order must give the same paths, and so must dropping the filled rows
+  // for a mask and refilling them in the other order: a row is a function
+  // of its source and the mask alone.
   Rng rng(79);
-  Graph g = gnp(100, 0.06, Range{0.1, 1.0}, rng);
+  Graph g = gnp(60, 0.08, Range{0.1, 1.0}, rng);
   const std::size_t m = g.num_edges();
   for (EdgeId e = 0; e < m; e += 5) {
     const Edge edge = g.edge(e);
     g.add_edge(edge.u, edge.v, rng.uniform(0.1, 1.0));  // a parallel edge
   }
   g.seal();
+  std::vector<char> up(g.num_edges(), 1);
+  for (EdgeId e = 0; e < g.num_edges(); e += 3) up[e] = 0;
   const auto sources = all_nodes(g);
-  const auto serial = RouteTable::compute(g, sources, /*parallel=*/false);
-  const auto parallel = RouteTable::compute(g, sources, /*parallel=*/true);
-  std::vector<EdgeId> a;
-  std::vector<EdgeId> b;
-  for (std::size_t r = 0; r < sources.size(); ++r) {
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      ASSERT_EQ(serial.edge_path(g, r, v, a), parallel.edge_path(g, r, v, b));
-      ASSERT_EQ(a, b) << "row " << r << " target " << v;
+  const std::size_t rows = sources.size();
+  // Every (row, target) path of `t`, visiting rows in the given order.
+  const auto paths = [&](RouteTable& t, bool descending) {
+    std::vector<std::vector<EdgeId>> out(rows * g.num_nodes());
+    for (std::size_t i = 0; i < rows; ++i) {
+      const std::size_t r = descending ? rows - 1 - i : i;
+      for (NodeId v = 0; v < g.num_nodes(); ++v) {
+        std::vector<EdgeId>& p = out[r * g.num_nodes() + v];
+        if (!t.edge_path(g, r, v, p)) p.push_back(kInvalidEdge);
+      }
     }
-  }
+    return out;
+  };
+  auto ascending = RouteTable::compute(g, sources);
+  auto descending = RouteTable::compute(g, sources);
+  const auto unmasked = paths(ascending, false);
+  EXPECT_EQ(unmasked, paths(descending, true));
+  // The same tables after a mask change, refilled in the other order,
+  // equal a table built under the mask.
+  ascending.set_edge_mask(up);
+  descending.set_edge_mask(up);
+  auto fresh = RouteTable::compute(g, sources, up);
+  const auto masked = paths(fresh, false);
+  EXPECT_EQ(masked, paths(ascending, true));
+  EXPECT_EQ(masked, paths(descending, false));
+  EXPECT_NE(masked, unmasked) << "the mask never bites";
+  // And back to every edge up.
+  descending.set_edge_mask({});
+  EXPECT_EQ(unmasked, paths(descending, true));
 }
 
 TEST(RouteTable, RejectsOutOfRangeSources) {

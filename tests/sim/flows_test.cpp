@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <functional>
@@ -385,6 +386,178 @@ TEST(FlowEngineEquivalence, IncrementalMatchesFullRecomputeBitForBit) {
           << "flow " << i << " seed " << seed << ": " << inc[i] << " vs "
           << full[i];
     }
+  }
+}
+
+// A sparse workload: many links and 1–4-hop paths, so most flows are alone
+// on every link they cross, with cancels and capacity changes mixed in.
+// One op per step: a start, a cancel of an earlier start (applied only
+// while that flow is live), or a link capacity change.
+struct SparseOp {
+  enum class Kind : std::uint8_t { kStart, kCancel, kCapacity };
+  Kind kind = Kind::kStart;
+  double time = 0.0;
+  double size = 0.0;         // kStart
+  std::vector<EdgeId> path;  // kStart
+  std::uint32_t start = 0;   // kCancel: tag of the cancelled start
+  EdgeId link = 0;           // kCapacity
+  double capacity = 0.0;     // kCapacity
+};
+
+std::vector<SparseOp> sparse_ops(std::uint64_t seed, std::size_t links,
+                                 std::size_t steps) {
+  Rng rng(seed);
+  std::vector<SparseOp> ops;
+  std::vector<std::vector<EdgeId>> start_paths;
+  std::uint32_t starts = 0;
+  double t = 0.0;
+  for (std::size_t i = 0; i < steps; ++i) {
+    t += rng.exponential(3.0);
+    SparseOp op;
+    op.time = t;
+    const double u = rng.uniform();
+    // Cancels and most capacity changes aim at one of the last four
+    // starts, which are likely still live.
+    const auto recent = [&] {
+      const std::uint64_t back =
+          rng.uniform_u64(0, std::min<std::uint32_t>(starts, 4) - 1);
+      return static_cast<std::uint32_t>(starts - 1 - back);
+    };
+    if (starts > 0 && u < 0.15) {
+      op.kind = SparseOp::Kind::kCancel;
+      op.start = recent();
+    } else if (u < 0.3) {
+      op.kind = SparseOp::Kind::kCapacity;
+      op.link = static_cast<EdgeId>(rng.uniform_u64(0, links - 1));
+      if (starts > 0 && u < 0.27) {
+        const std::vector<EdgeId>& p = start_paths[recent()];
+        op.link = p[rng.uniform_u64(0, p.size() - 1)];
+      }
+      op.capacity = rng.uniform(0.5, 3.0);
+    } else {
+      op.size = rng.uniform(0.2, 3.0);
+      const std::size_t hops = static_cast<std::size_t>(rng.uniform_u64(1, 4));
+      for (std::size_t h = 0; h < hops; ++h) {
+        op.path.push_back(static_cast<EdgeId>(rng.uniform_u64(0, links - 1)));
+      }
+      if (starts == 7) op.path = {3, 11, 3};  // a path that repeats an edge
+      start_paths.push_back(op.path);
+      ++starts;
+    }
+    ops.push_back(std::move(op));
+  }
+  return ops;
+}
+
+struct SparseRun {
+  /// Every rate-listener call as raw bits: tag, time, rate, remaining,
+  /// bottleneck.
+  std::vector<std::uint64_t> stream;
+  std::vector<double> done;  ///< per start tag; -1 when cancelled
+  std::size_t lone_cancels = 0;
+  std::size_t shared_cancels = 0;
+  std::size_t lone_capacity_changes = 0;
+  std::size_t shared_capacity_changes = 0;
+};
+
+SparseRun drive_sparse(const std::vector<SparseOp>& ops,
+                       const std::vector<double>& caps,
+                       FlowEngine::Recompute mode) {
+  FlowHarness h(caps);
+  h.engine.set_recompute_mode(mode);
+  SparseRun run;
+  h.engine.set_rate_listener([&run](std::uint32_t tag, double time,
+                                    double rate, double remaining,
+                                    EdgeId bottleneck) {
+    run.stream.push_back(tag);
+    run.stream.push_back(std::bit_cast<std::uint64_t>(time));
+    run.stream.push_back(std::bit_cast<std::uint64_t>(rate));
+    run.stream.push_back(std::bit_cast<std::uint64_t>(remaining));
+    run.stream.push_back(bottleneck);
+  });
+  std::vector<const std::vector<EdgeId>*> paths;  // per start tag
+  std::vector<std::uint32_t> slot;                // per start tag
+  std::vector<char> cancelled;
+  const auto live = [&](std::uint32_t tag) {
+    return !cancelled[tag] && h.done.count(tag) == 0;
+  };
+  // Live flows other than `self` on link e.
+  const auto others_on = [&](EdgeId e, std::uint32_t self) {
+    std::size_t n = 0;
+    for (std::uint32_t g = 0; g < paths.size(); ++g) {
+      if (g == self || !live(g)) continue;
+      for (const EdgeId x : *paths[g]) n += x == e ? 1 : 0;
+    }
+    return n;
+  };
+  for (const SparseOp& op : ops) {
+    h.at(op.time, [&, op_ptr = &op] {
+      const SparseOp& o = *op_ptr;
+      switch (o.kind) {
+        case SparseOp::Kind::kStart:
+          paths.push_back(&o.path);
+          cancelled.push_back(0);
+          slot.push_back(h.engine.start_flow(
+              o.size, o.path, static_cast<std::uint32_t>(slot.size())));
+          break;
+        case SparseOp::Kind::kCancel: {
+          if (!live(o.start)) break;
+          bool shared = false;
+          for (const EdgeId e : *paths[o.start]) {
+            shared |= others_on(e, o.start) > 0;
+          }
+          ++(shared ? run.shared_cancels : run.lone_cancels);
+          cancelled[o.start] = 1;
+          h.engine.cancel(slot[o.start]);
+          break;
+        }
+        case SparseOp::Kind::kCapacity: {
+          const std::size_t users = others_on(o.link, FlowEngine::kNoFlow);
+          if (users == 1) ++run.lone_capacity_changes;
+          if (users > 1) ++run.shared_capacity_changes;
+          h.engine.set_link_capacity(o.link, o.capacity);
+          break;
+        }
+      }
+    });
+  }
+  h.run();
+  EXPECT_EQ(h.engine.active_flows(), 0u);
+  run.done.assign(slot.size(), -1.0);
+  for (const auto& [tag, t] : h.done) run.done[tag] = t;
+  return run;
+}
+
+TEST(FlowEngineEquivalence, SparseLoneFlowsMatchFullRecomputeBitForBit) {
+  // Most components hold one flow here, so most re-fills take the
+  // incremental engine's lone-flow path; the full mode gathers every
+  // component.  Every listener call and every completion must agree bit
+  // for bit, cancels and capacity changes on lone and shared flows
+  // included.
+  for (const std::uint64_t seed : {3u, 58u, 907u}) {
+    const std::vector<double> caps(64, 1.0);
+    const auto ops = sparse_ops(seed, caps.size(), 400);
+    const SparseRun inc =
+        drive_sparse(ops, caps, FlowEngine::Recompute::kIncremental);
+    const SparseRun full =
+        drive_sparse(ops, caps, FlowEngine::Recompute::kFull);
+    ASSERT_EQ(inc.stream.size(), full.stream.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < inc.stream.size(); ++i) {
+      ASSERT_EQ(inc.stream[i], full.stream[i])
+          << "seed " << seed << ": listener call " << i / 5 << " field "
+          << i % 5;
+    }
+    ASSERT_EQ(inc.done.size(), full.done.size());
+    for (std::size_t i = 0; i < inc.done.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(inc.done[i]),
+                std::bit_cast<std::uint64_t>(full.done[i]))
+          << "seed " << seed << " flow " << i;
+    }
+    // The workload reaches every case it is meant to cover.
+    EXPECT_GT(inc.lone_cancels, 0u) << "seed " << seed;
+    EXPECT_GT(inc.shared_cancels, 0u) << "seed " << seed;
+    EXPECT_GT(inc.lone_capacity_changes, 0u) << "seed " << seed;
+    EXPECT_GT(inc.shared_capacity_changes, 0u) << "seed " << seed;
   }
 }
 
