@@ -63,12 +63,12 @@ struct SloRollup {
   std::vector<SiteSlo> per_site;  ///< sites that served demands, ascending
 };
 
-/// The rollup of one slack per admitted query; sorts `query_slacks`.
+/// The rollup of one slack per admitted query; reorders `query_slacks`.
 /// per_site starts empty.
 [[nodiscard]] SloRollup rollup_slo(std::vector<double>& query_slacks);
 
 /// Appends the row of `site` from the slacks of the demands it served;
-/// sorts `demand_slacks`.  Callers append rows in ascending site order.
+/// reorders `demand_slacks`.  Callers append rows in ascending site order.
 void add_site_slo(SloRollup& slo, std::uint32_t site,
                   std::vector<double>& demand_slacks);
 
