@@ -94,6 +94,11 @@ class FaultState {
   [[nodiscard]] bool site_up(SiteId s) const { return up_.at(s); }
   /// 0 when down, (1 - lost fraction) when degraded, 1 otherwise.
   [[nodiscard]] double capacity_scale(SiteId s) const;
+  /// Fraction of the fault-free availability lost to capacity faults,
+  /// whether the site is up or down (0 = no degradation).
+  [[nodiscard]] double lost_fraction(SiteId s) const {
+    return lost_frac_.at(s);
+  }
   /// Effective A(v_l): fault-free availability × capacity_scale.
   [[nodiscard]] double available(SiteId s) const {
     return inst_->site(s).available * capacity_scale(s);

@@ -211,6 +211,80 @@ TEST(OnlineFlow, CapacityLossMidFlowStretchesCompletions) {
   EXPECT_GT(faulted.flow_gap.max_stretch, 0.0);
 }
 
+// A line of sites cl – mid – dc, one per node.  The lone query lives at cl
+// and its dataset only at dc (K = 1), so its transfer crosses both links,
+// and mid's node is an endpoint of each.
+Instance line_instance() {
+  Graph g;
+  const NodeId cl = g.add_node(NodeRole::kCloudlet);
+  const NodeId mid = g.add_node(NodeRole::kCloudlet);
+  const NodeId dc = g.add_node(NodeRole::kDataCenter);
+  g.add_edge(cl, mid, 0.5);
+  g.add_edge(mid, dc, 0.5);
+  Instance inst(std::move(g));
+  inst.add_site(cl, 10.0, 0.05);
+  inst.add_site(mid, 10.0, 0.05);
+  const SiteId s_dc = inst.add_site(dc, 100.0, 0.05);
+  const DatasetId d0 = inst.add_dataset(4.0, s_dc);
+  inst.add_query(/*home=*/0, 1.0, /*deadline=*/10.0, {{d0, 0.5}});
+  inst.set_max_replicas(1);
+  inst.finalize();
+  return inst;
+}
+
+FaultEvent site_fault(FaultKind kind, SiteId site, double fraction = 0.0) {
+  FaultEvent e;
+  e.kind = kind;
+  e.site = site;
+  e.fraction = fraction;
+  return e;
+}
+
+// Link capacities follow base × max(min over the endpoint sites of (1 −
+// lost fraction), 1e-6); a crash does not enter.  A capacity loss of half
+// on the crashed mid site leaves both of its links at half of base (4 at
+// oversubscription 0.25), above the transfer's unit rate cap, so the flow
+// runs exactly at its priced delay.  A rule that read the crash as scale 0
+// throttles them to 1e-6 of base instead.
+TEST(OnlineFlow, CapacityLossOnACrashedSiteScalesLinksByTheLossAlone) {
+  const Instance inst = line_instance();
+  OnlineConfig cfg;
+  cfg.network = OnlineNetwork::kFlow;
+  cfg.oversubscription = 0.25;
+  cfg.faults.events = {site_fault(FaultKind::kSiteDown, 1),
+                       site_fault(FaultKind::kCapacityLoss, 1, 0.5)};
+  const OnlineResult flow = run_online(inst, cfg);
+  ASSERT_EQ(flow.admitted_queries, 1u);
+  EXPECT_EQ(flow.flow_gap.flows_routed, 1u);
+  EXPECT_EQ(flow.flow_gap.gap_breaches, 0u);
+  EXPECT_BITEQ(flow.flow_gap.max_stretch, 0.0);
+}
+
+// Both endpoint sites of the cl–mid link lose 90%, then mid is restored.
+// The link stays at a tenth of base (0.1 at oversubscription 1) while cl
+// is degraded, so the transfer, priced at unit rate, runs at 0.1 and takes
+// ten times its priced delay (mid–dc is back at full capacity).  A rule
+// that took the scale of the endpoint updated last would return cl–mid to
+// full capacity on mid's restore.
+TEST(OnlineFlow, LinkBetweenDegradedSitesTakesTheLowerScale) {
+  const Instance inst = line_instance();
+  OnlineConfig cfg;
+  cfg.oversubscription = 1.0;
+  cfg.faults.events = {site_fault(FaultKind::kCapacityLoss, 0, 0.9),
+                       site_fault(FaultKind::kCapacityLoss, 1, 0.9),
+                       site_fault(FaultKind::kCapacityRestore, 1)};
+  cfg.network = OnlineNetwork::kTable;
+  const OnlineResult table = run_online(inst, cfg);
+  ASSERT_EQ(table.admitted_queries, 1u);
+  const double priced =
+      table.outcomes[0].completion_time - table.outcomes[0].arrival_time;
+  cfg.network = OnlineNetwork::kFlow;
+  const OnlineResult flow = run_online(inst, cfg);
+  ASSERT_EQ(flow.admitted_queries, 1u);
+  EXPECT_EQ(flow.flow_gap.flows_routed, 1u);
+  EXPECT_NEAR(flow.flow_gap.max_stretch, 9.0 * priced, 1e-9 * priced);
+}
+
 TEST(OnlineFlow, RejectsBadOversubscription) {
   const Instance inst = TinyFixture::make();
   OnlineConfig cfg;
